@@ -66,7 +66,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float, metavar="T", help="minimum |loading| to keep (default 0.3)")
     parser.add_argument("--retain", type=int, metavar="N", help="factors kept after refinement (default 15)")
     parser.add_argument("--exemplars", type=int, metavar="N", help="exemplar reviews per factor (default 20)")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker threads for matrix construction")
+    parser.add_argument("--threads", type=int, metavar="N",
+                        help="accepted for compatibility; must be positive, changes neither speed nor output")
 
 
 def build_parser() -> argparse.ArgumentParser:

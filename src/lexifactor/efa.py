@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateColumnError, ValidationError
 from .matrix import ColumnStats, DocTermMatrix, column_stats
@@ -96,14 +95,12 @@ def correlation_matrix(
         names = ", ".join(matrix.terms[i] for i in constant[:5])
         raise DegenerateColumnError(f"constant columns have no correlation: {names}")
 
-    nnz = matrix.nnz()
-    indices = np.fromiter(
-        (column for row in matrix.rows for column in row), dtype=np.int64, count=nnz
-    )
-    indptr = np.zeros(matrix.n_docs + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in matrix.rows], out=indptr[1:])
+    # SciPy is imported here, not at module level, so that the commands
+    # that never correlate do not pay for loading it.
+    from scipy import sparse
+
     incidence = sparse.csr_matrix(
-        (np.ones(nnz, dtype=np.float64), indices, indptr),
+        (np.ones(matrix.nnz(), dtype=np.float64), matrix.indices, matrix.indptr),
         shape=(matrix.n_docs, matrix.n_terms),
     )
     cooccurrence = (incidence.T @ incidence).toarray() / matrix.n_docs

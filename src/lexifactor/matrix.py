@@ -2,13 +2,13 @@
 
 The matrix is binary and sparse: row ``d`` column ``t`` is 1 exactly
 when some token of document ``d`` lemmatizes to dictionary term ``t``.
-Rows are stored as sorted tuples of column indices, which keeps the
-structure cheap at corpus scale and makes equality checks trivial.
+It is stored in compressed sparse row (CSR) form: the columns of row
+``d`` are ``indices[indptr[d]:indptr[d + 1]]``, ascending and unique.
+Every consumer works on those two arrays directly.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,13 +19,28 @@ from .ingest import Review, tokenize
 from .lexicon import Lexicon, TermDictionary, lemmatize_token
 
 
-@dataclass
+@dataclass(eq=False)
 class DocTermMatrix:
-    """Sparse binary matrix over documents (rows) and terms (columns)."""
+    """Sparse binary matrix over documents (rows) and terms (columns).
+
+    ``indptr`` has ``n_docs + 1`` entries; ``indices`` holds the column
+    indices of each row, ascending within the row.
+    """
 
     doc_ids: tuple[str, ...]
     terms: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DocTermMatrix):
+            return NotImplemented
+        return (
+            self.doc_ids == other.doc_ids
+            and self.terms == other.terms
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     @property
     def n_docs(self) -> int:
@@ -36,15 +51,11 @@ class DocTermMatrix:
         return len(self.terms)
 
     def nnz(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return int(self.indices.size)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize as a float array; intended for small matrices."""
-        dense = np.zeros((self.n_docs, self.n_terms), dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            if row:
-                dense[i, list(row)] = 1.0
-        return dense
+    def row_of_entry(self) -> np.ndarray:
+        """Row index of every stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_docs, dtype=np.int64), np.diff(self.indptr))
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,20 +71,14 @@ def build_matrix(
     reviews: Sequence[Review],
     dictionary: TermDictionary,
     lexicon: Lexicon,
-    threads: int = 1,
 ) -> DocTermMatrix:
-    """Map each review onto the dictionary columns it mentions.
-
-    ``threads`` only parallelizes the per-review work; rows are keyed by
-    position, so the result is identical for any thread count.
-    """
-    if threads < 1:
-        raise ValidationError(f"threads must be positive, got {threads}")
-    reviews = list(reviews)
+    """Map each review onto the dictionary columns it mentions."""
     index = dictionary.index
     cache: dict[str, int] = {}  # token -> column, -1 for no dictionary term
-
-    def row_for(review: Review) -> tuple[int, ...]:
+    doc_ids: list[str] = []
+    indptr = [0]
+    indices: list[int] = []
+    for review in reviews:
         columns: set[int] = set()
         for token in tokenize(review.text):
             column = cache.get(token)
@@ -83,18 +88,14 @@ def build_matrix(
                 cache[token] = column
             if column >= 0:
                 columns.add(column)
-        return tuple(sorted(columns))
-
-    if threads == 1:
-        rows = tuple(row_for(review) for review in reviews)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row_for, reviews))
-
+        indices.extend(sorted(columns))
+        indptr.append(len(indices))
+        doc_ids.append(review.id)
     return DocTermMatrix(
-        doc_ids=tuple(review.id for review in reviews),
+        doc_ids=tuple(doc_ids),
         terms=dictionary.terms,
-        rows=rows,
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
     )
 
 
@@ -102,14 +103,7 @@ def column_stats(matrix: DocTermMatrix) -> tuple[ColumnStats, ...]:
     """Document frequency, rate p = df/n, and Bernoulli variance p(1-p)."""
     if matrix.n_docs == 0:
         raise EmptyMatrixError("cannot compute column stats of an empty matrix")
-    flat = np.fromiter(
-        (column for row in matrix.rows for column in row),
-        dtype=np.int64,
-        count=matrix.nnz(),
-    )
-    counts = np.bincount(flat, minlength=matrix.n_terms) if flat.size else np.zeros(
-        matrix.n_terms, dtype=np.int64
-    )
+    counts = np.bincount(matrix.indices, minlength=matrix.n_terms)
     n = matrix.n_docs
     stats = []
     for df in counts.tolist():
@@ -120,14 +114,17 @@ def column_stats(matrix: DocTermMatrix) -> tuple[ColumnStats, ...]:
 
 def _select_columns(matrix: DocTermMatrix, keep: Sequence[int]) -> DocTermMatrix:
     """Project the matrix onto ``keep`` (ascending original column indices)."""
-    remap = {old: new for new, old in enumerate(keep)}
-    rows = tuple(
-        tuple(remap[column] for column in row if column in remap) for row in matrix.rows
-    )
+    remap = np.full(matrix.n_terms, -1, dtype=np.int64)
+    remap[list(keep)] = np.arange(len(keep))
+    remapped = remap[matrix.indices]
+    kept = remapped >= 0
+    # Entries kept before each row boundary give the new row boundaries.
+    kept_before = np.concatenate(([0], np.cumsum(kept)))
     return DocTermMatrix(
         doc_ids=matrix.doc_ids,
         terms=tuple(matrix.terms[old] for old in keep),
-        rows=rows,
+        indptr=kept_before[matrix.indptr],
+        indices=remapped[kept],
     )
 
 
@@ -165,7 +162,3 @@ def filter_top_variance(
         raise EmptyMatrixError("matrix has no columns")
     return _select_columns(matrix, keep), keep
 
-
-def empty_row_count(matrix: DocTermMatrix) -> int:
-    """Number of documents that mention no dictionary term."""
-    return sum(1 for row in matrix.rows if not row)

@@ -207,7 +207,7 @@ def stage_matrix(config: PipelineConfig) -> dict:
         _read_json(_require_artifact(config.out / "dictionary.json"))
     )
     lexicon = _load_lexicon(config)
-    matrix = build_matrix(reviews, dictionary, lexicon, threads=config.threads)
+    matrix = build_matrix(reviews, dictionary, lexicon)
     write_matrix_market(matrix, config.out / "matrix.mtx")
 
     stats = column_stats(matrix)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .efa import FactorModel, LoadingTable
 from .errors import ValidationError
 from .matrix import DocTermMatrix
@@ -44,20 +46,20 @@ def exemplar_reviews(
     if limit < 1:
         raise ValidationError(f"limit must be positive, got {limit}")
     index = {term: i for i, term in enumerate(matrix.terms)}
+    rows = matrix.row_of_entry()
+    # Rows in review id order; a stable sort on hits then keeps id order
+    # among equal hit counts.
+    by_id = np.array(sorted(range(matrix.n_docs), key=matrix.doc_ids.__getitem__), dtype=np.int64)
     exemplars: dict[int, tuple[str, ...]] = {}
     for factor in table.factors:
-        columns = set()
+        is_factor_column = np.zeros(matrix.n_terms, dtype=bool)
         for term, _ in factor.entries:
             if term not in index:
                 raise ValidationError(f"factor {factor.factor} term {term!r} not a matrix column")
-            columns.add(index[term])
-        scored = []
-        for doc_id, row in zip(matrix.doc_ids, matrix.rows):
-            hits = sum(1 for column in row if column in columns)
-            if hits:
-                scored.append((-hits, doc_id))
-        scored.sort()
-        exemplars[factor.factor] = tuple(doc_id for _, doc_id in scored[:limit])
+            is_factor_column[index[term]] = True
+        hits = np.bincount(rows[is_factor_column[matrix.indices]], minlength=matrix.n_docs)[by_id]
+        top = np.argsort(-hits, kind="stable")[: min(limit, np.count_nonzero(hits))]
+        exemplars[factor.factor] = tuple(matrix.doc_ids[i] for i in by_id[top].tolist())
     return exemplars
 
 

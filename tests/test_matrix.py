@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import from_dense
+from helpers import from_dense, from_rows, rows_of, to_dense
 from lexifactor import (
-    DocTermMatrix,
     EmptyMatrixError,
     Review,
     ValidationError,
@@ -38,37 +37,18 @@ class TestBuildMatrix:
         matrix = build_matrix(reviews, small_dictionary, lexicon)
         assert matrix.doc_ids == ("d1", "d2", "d3")
         assert matrix.terms == ("suite", "ticket")
-        assert matrix.rows == ((0, 1), (0,), ())
+        assert rows_of(matrix) == ((0, 1), (0,), ())
         assert matrix.nnz() == 3
 
     def test_inflections_map_to_term_column(self, lexicon, small_dictionary):
         reviews = [Review(id="d1", source="g2", text="tickets galore")]
         matrix = build_matrix(reviews, small_dictionary, lexicon)
-        assert matrix.rows == ((1,),)
-
-    def test_thread_count_does_not_change_result(self, lexicon, small_dictionary):
-        rng = np.random.default_rng(7)
-        vocabulary = ["suite", "tickets", "ticket", "qwzzk", "the", "glass"]
-        reviews = [
-            Review(
-                id=f"d{i}",
-                source="g2",
-                text=" ".join(rng.choice(vocabulary, size=rng.integers(0, 8))),
-            )
-            for i in range(40)
-        ]
-        serial = build_matrix(reviews, small_dictionary, lexicon, threads=1)
-        threaded = build_matrix(reviews, small_dictionary, lexicon, threads=4)
-        assert serial == threaded
+        assert rows_of(matrix) == ((1,),)
 
     def test_rows_are_sorted_unique(self, lexicon, small_dictionary):
         reviews = [Review(id="d1", source="g2", text="ticket suite ticket suite")]
         matrix = build_matrix(reviews, small_dictionary, lexicon)
-        assert matrix.rows == ((0, 1),)
-
-    def test_bad_thread_count(self, lexicon, small_dictionary):
-        with pytest.raises(ValidationError):
-            build_matrix([], small_dictionary, lexicon, threads=0)
+        assert rows_of(matrix) == ((0, 1),)
 
 
 class TestColumnStats:
@@ -93,7 +73,7 @@ class TestColumnStats:
         assert stats[1].df == 4 and stats[1].variance == 0.0
 
     def test_empty_matrix_rejected(self):
-        empty = DocTermMatrix(doc_ids=(), terms=("a",), rows=())
+        empty = from_rows((), ("a",), ())
         with pytest.raises(EmptyMatrixError):
             column_stats(empty)
 
@@ -124,7 +104,7 @@ class TestFilterLowVariance:
         filtered, kept = filter_low_variance(from_dense(dense), 0.01)
         assert kept == (0, 2)
         assert filtered.terms == ("t0", "t2")
-        np.testing.assert_array_equal(filtered.to_dense(), dense[:, [0, 2]])
+        np.testing.assert_array_equal(to_dense(filtered), dense[:, [0, 2]])
 
     def test_threshold_is_inclusive(self):
         dense = np.zeros((4, 1))
@@ -136,7 +116,7 @@ class TestFilterLowVariance:
         dense = np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
         filtered, kept = filter_low_variance(from_dense(dense), 0.1)
         assert kept == (1, 2)
-        assert filtered.rows == ((0, 1), (0,), (1,), ())
+        assert rows_of(filtered) == ((0, 1), (0,), (1,), ())
 
     def test_nothing_survives_is_an_error(self):
         dense = np.zeros((10, 2))
@@ -153,6 +133,20 @@ class TestFilterLowVariance:
 
 
 class TestFilterTopVariance:
+    @given(
+        arrays(
+            np.int8,
+            st.tuples(st.integers(1, 12), st.integers(1, 6)),
+            elements=st.integers(0, 1),
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60)
+    def test_matches_dense_column_slice(self, cells, k):
+        dense = cells.astype(np.float64)
+        filtered, kept = filter_top_variance(from_dense(dense), k)
+        np.testing.assert_array_equal(to_dense(filtered), dense[:, list(kept)])
+
     def test_keeps_k_highest(self):
         dense = np.zeros((100, 4))
         dense[:50, 0] = 1  # 0.25

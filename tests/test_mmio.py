@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import from_dense, random_binary
+from helpers import from_dense, from_rows, random_binary, reference_read_entries, rows_of
 from lexifactor import (
-    DocTermMatrix,
     ParseError,
     read_matrix_market,
     write_matrix_market,
@@ -12,7 +13,7 @@ from lexifactor import (
 
 @pytest.fixture()
 def tiny():
-    return DocTermMatrix(doc_ids=("d1", "d2"), terms=("a", "b"), rows=((0, 1), (1,)))
+    return from_rows(("d1", "d2"), ("a", "b"), ((0, 1), (1,)))
 
 
 class TestWrite:
@@ -46,7 +47,7 @@ class TestRoundTrip:
             assert read_matrix_market(path) == matrix
 
     def test_empty_rows_preserved(self, tmp_path):
-        matrix = DocTermMatrix(doc_ids=("a", "b"), terms=("t",), rows=((), (0,)))
+        matrix = from_rows(("a", "b"), ("t",), ((), (0,)))
         path = tmp_path / "m.mtx"
         write_matrix_market(matrix, path)
         assert read_matrix_market(path) == matrix
@@ -124,3 +125,120 @@ class TestReadErrors:
         )
         with pytest.raises(ParseError, match="malformed entry"):
             read_matrix_market(path)
+
+
+_HEADER = "%%MatrixMarket matrix coordinate pattern general\n"
+_FILLER_LINES = st.sampled_from(["% note\n", "%\n", "\n", "   \n", "\t\n"])
+
+
+@st.composite
+def csr_matrices(draw):
+    """Random matrices, empty rows, empty columns and no entries included."""
+    n_docs = draw(st.integers(0, 8))
+    n_terms = draw(st.integers(0, 6))
+    rows = [
+        sorted(draw(st.sets(st.integers(0, n_terms - 1)))) if n_terms else []
+        for _ in range(n_docs)
+    ]
+    return from_rows([f"d{i}" for i in range(n_docs)], [f"t{j}" for j in range(n_terms)], rows)
+
+
+class TestShuffledRoundTrip:
+    @given(matrix=csr_matrices(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_entry_order_with_comments_and_blanks(self, tmp_path_factory, matrix, data):
+        directory = tmp_path_factory.mktemp("roundtrip")
+        path = directory / "m.mtx"
+        write_matrix_market(matrix, path)
+        written = path.read_bytes()
+        header, size_line, *entries = written.decode().splitlines(keepends=True)
+        entries = data.draw(st.permutations(entries))
+        gaps = data.draw(
+            st.lists(st.lists(_FILLER_LINES, max_size=2), min_size=len(entries) + 2,
+                     max_size=len(entries) + 2)
+        )
+        lines = [header, *gaps[0], size_line]
+        for entry, gap in zip(entries, gaps[1:]):
+            lines += [entry, *gap]
+        lines += gaps[-1]
+        path.write_bytes("".join(lines).encode())
+
+        read = read_matrix_market(path)
+        assert read == matrix
+        write_matrix_market(read, directory / "again.mtx")
+        assert (directory / "again.mtx").read_bytes() == written
+
+
+class TestReadErrorTable:
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("2 2 1\n1 x\n", 3, "malformed entry: '1 x'"),
+            ("2 2 1\n1.0 2\n", 3, "malformed entry: '1.0 2'"),
+            ("2 2 1\n1\n", 3, "malformed entry: '1'"),
+            ("2 2 1\n1 2 2\n", 3, "malformed entry: '1 2 2'"),
+            ("2 2 1\n1 2 % note\n", 3, "malformed entry: '1 2 % note'"),
+            ("2 2 1\n0 1\n", 3, "entry (0, 1) outside 2x2"),
+            ("2 2 1\n1 0\n", 3, "entry (1, 0) outside 2x2"),
+            ("2 2 1\n-1 2\n", 3, "entry (-1, 2) outside 2x2"),
+            ("2 2 1\n1 -2\n", 3, "entry (1, -2) outside 2x2"),
+            ("2 2 3\n1 1\n2 2\n1 1\n", 5, "duplicate entry (1, 1)"),
+            ("2 2 4\n1 1\n2 2\n2 2\n1 1\n", 5, "duplicate entry (2, 2)"),
+            ("2 2 3\n1 1\n2 2\n", None, "size line declares 3 entries, file has 2"),
+            # The earliest offending line wins, whatever its kind.
+            ("2 2 3\n1 1\n3 1\n1 x\n", 4, "entry (3, 1) outside 2x2"),
+            ("2 2 3\n1 1\n1 1\n3 1\n", 4, "duplicate entry (1, 1)"),
+        ],
+    )
+    def test_parse_error(self, tmp_path, tiny, body, line, message):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(tiny, path)
+        path.write_bytes((_HEADER + body).encode())
+        with pytest.raises(ParseError) as caught:
+            read_matrix_market(path)
+        assert caught.value.line == line
+        location = f"{path}:{line}" if line else f"{path}"
+        assert str(caught.value) == f"{location}: {message}"
+
+
+_INDEX = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-", "0", "-+"]),
+    st.sampled_from(["", "0", "1", "2", "3", "4"]),
+    st.sampled_from(["", "", "", "-", "x"]),
+)
+_NEAR_ENTRY = st.builds(
+    "{}{}{}{}{}\n".format,
+    st.sampled_from(["", " ", "\t"]),
+    _INDEX,
+    st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c"]),
+    _INDEX,
+    st.sampled_from(["", " ", "\r", "\x0c"]),
+)
+_JUNK_LINE = st.text(alphabet="0123456789 \t\r%+-.x\x0b\x1c", max_size=8).map(lambda t: t + "\n")
+
+
+class TestReaderMatchesReference:
+    @given(
+        size_line=st.one_of(st.builds("3 3 {}\n".format, st.integers(0, 6)), _JUNK_LINE),
+        lines=st.lists(st.one_of(_NEAR_ENTRY, _NEAR_ENTRY, _FILLER_LINES, _JUNK_LINE), max_size=8),
+        unterminated=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_matrix_or_same_error(self, tmp_path_factory, size_line, lines, unterminated):
+        path = tmp_path_factory.mktemp("reference") / "m.mtx"
+        write_matrix_market(from_rows(["a", "b", "c"], ["x", "y", "z"], [(), (), ()]), path)
+        text = _HEADER + size_line + "".join(lines)
+        if unterminated:
+            text = text.removesuffix("\n")
+        path.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                return "ok", read(path)
+            except ParseError as exc:
+                return "error", str(exc)
+
+        assert outcome(lambda p: rows_of(read_matrix_market(p))) == outcome(
+            lambda p: reference_read_entries(p, 3, 3)
+        )

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import from_dense
+from helpers import from_dense, from_rows, reference_exemplars
 from lexifactor import (
-    DocTermMatrix,
     FactorLoadings,
     LoadingTable,
     ValidationError,
@@ -43,14 +45,30 @@ def matrix():
         ],
         dtype=float,
     )
-    return DocTermMatrix(
-        doc_ids=("d0", "d1", "d2", "d3"),
-        terms=("suite", "ticket", "noise"),
-        rows=from_dense(dense).rows,
-    )
+    return from_dense(dense, doc_ids=("d0", "d1", "d2", "d3"), terms=("suite", "ticket", "noise"))
 
 
 class TestExemplarReviews:
+    @given(
+        cells=arrays(np.int8, st.tuples(st.integers(1, 80), st.integers(1, 5)), elements=st.integers(0, 1)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_scan(self, cells, data):
+        n_docs, n_terms = cells.shape
+        doc_ids = data.draw(
+            st.lists(st.text("abcde", min_size=1, max_size=3), min_size=n_docs, max_size=n_docs, unique=True)
+        )
+        terms = tuple(f"t{j}" for j in range(n_terms))
+        matrix = from_dense(cells, doc_ids=tuple(doc_ids), terms=terms)
+        factors = tuple(
+            FactorLoadings(factor, tuple((term, 0.5) for term in data.draw(st.sets(st.sampled_from(terms)))))
+            for factor in range(1, data.draw(st.integers(1, 3)) + 1)
+        )
+        table = LoadingTable(factors=factors, threshold=0.3)
+        limit = data.draw(st.integers(1, 30))
+        assert exemplar_reviews(matrix, table, limit) == reference_exemplars(matrix, table, limit)
+
     def test_ranked_by_hits_then_id(self, table, matrix):
         exemplars = exemplar_reviews(matrix, table)
         assert exemplars[1] == ("d0", "d1", "d2")
@@ -65,17 +83,13 @@ class TestExemplarReviews:
 
     def test_id_breaks_ties(self, table):
         dense = np.array([[1, 0, 0], [1, 0, 0], [1, 1, 0]], dtype=float)
-        matrix = DocTermMatrix(
-            doc_ids=("z", "a", "m"),
-            terms=("suite", "ticket", "noise"),
-            rows=from_dense(dense).rows,
-        )
+        matrix = from_dense(dense, doc_ids=("z", "a", "m"), terms=("suite", "ticket", "noise"))
         exemplars = exemplar_reviews(matrix, table)
         # m has two factor-1 words; z and a tie with one and sort by id
         assert exemplars[1] == ("m", "a", "z")
 
     def test_unknown_term_rejected(self, table):
-        matrix = DocTermMatrix(doc_ids=("d0",), terms=("other",), rows=((0,),))
+        matrix = from_rows(("d0",), ("other",), ((0,),))
         with pytest.raises(ValidationError):
             exemplar_reviews(matrix, table)
 
