@@ -76,7 +76,7 @@ class VarimaxResult(NamedTuple):
 
 
 def correlation_matrix(
-    matrix: DocTermMatrix, stats: Sequence[ColumnStats] | None = None
+    matrix: DocTermMatrix, stats: ColumnStats | None = None
 ) -> CorrelationMatrix:
     """Phi coefficients between all column pairs.
 
@@ -88,8 +88,7 @@ def correlation_matrix(
     """
     if stats is None:
         stats = column_stats(matrix)
-    rates = np.array([s.p for s in stats])
-    variances = np.array([s.variance for s in stats])
+    rates, variances = stats.p, stats.variance
     constant = np.nonzero(variances == 0.0)[0]
     if constant.size:
         names = ", ".join(matrix.terms[i] for i in constant[:5])

@@ -6,6 +6,11 @@ a ``data.<pos>`` file holding the synsets themselves (with their pointer
 lists, where the ``!`` symbol marks antonymy), and a ``<pos>.exc`` file
 of irregular inflections. Only nouns and adjectives participate.
 
+Each distinct token of a corpus is lemmatized once per run. The
+dictionary pass records every token's lemma in a token→lemma map
+(stopwords included), and the matrix stage reads that map instead of
+the lexicon, so one in-process run parses the database once.
+
 Dictionary construction is a greedy pass over candidate lemmas ranked
 by document frequency: a candidate is admitted unless it shares a sense
 with an already-admitted term (a synonym) or one of its senses is
@@ -326,15 +331,23 @@ def lemmatize_token(lexicon: Lexicon, token: Token) -> str | None:
     return lemma
 
 
-def document_lemmas(lexicon: Lexicon, review: Review, stopwords: frozenset[str]) -> set[str]:
-    """Distinct candidate lemmas of one review, stopwords removed first."""
-    lemmas: set[str] = set()
-    for token in tokenize(review.text):
-        if token in stopwords:
-            continue
-        lemma = lemmatize_token(lexicon, token)
-        if lemma is not None:
-            lemmas.add(lemma)
+def _map_new_tokens(
+    tokens: Iterable[Token], lexicon: Lexicon, lemmas: dict[Token, str | None]
+) -> None:
+    for token in tokens:
+        if token not in lemmas:
+            lemmas[token] = lemmatize_token(lexicon, token)
+
+
+def lemma_map(reviews: Iterable[Review], lexicon: Lexicon) -> dict[Token, str | None]:
+    """Map every distinct token of ``reviews`` to its lemma, or ``None``.
+
+    Works review by review on the set of its tokens and lemmatizes each
+    token once. Stopwords are mapped like any other token.
+    """
+    lemmas: dict[Token, str | None] = {}
+    for review in reviews:
+        _map_new_tokens(set(tokenize(review.text)), lexicon, lemmas)
     return lemmas
 
 
@@ -342,18 +355,32 @@ def build_dictionary(
     reviews: Iterable[Review],
     lexicon: Lexicon,
     stopwords: frozenset[str],
+    lemmas: dict[Token, str | None] | None = None,
 ) -> TermDictionary:
     """Greedily admit candidate lemmas into the term dictionary.
 
-    Candidates are ranked by document frequency, ties broken
-    alphabetically. A candidate claims its noun senses when it has a
-    noun entry, otherwise its adjective senses. It is rejected when any
-    claimed sense is already claimed (synonym of an admitted term) or is
-    antonym-paired with a claimed sense.
+    A candidate is the lemma of a non-stopword token; its document
+    frequency counts the reviews holding such a token. Candidates are
+    ranked by document frequency, ties broken alphabetically. A
+    candidate claims its noun senses when it has a noun entry, otherwise
+    its adjective senses. It is rejected when any claimed sense is
+    already claimed (synonym of an admitted term) or is antonym-paired
+    with a claimed sense.
+
+    ``lemmas`` is a token→lemma map that this pass fills as it goes,
+    lemmatizing only tokens not in it yet. Afterwards it holds every
+    token of ``reviews``, stopwords included, as :func:`lemma_map`
+    would, ready for :func:`lexifactor.matrix.build_matrix`.
     """
+    if lemmas is None:
+        lemmas = {}
     doc_freq: Counter[str] = Counter()
     for review in reviews:
-        doc_freq.update(document_lemmas(lexicon, review, stopwords))
+        tokens = set(tokenize(review.text))
+        _map_new_tokens(tokens, lexicon, lemmas)
+        found = {lemmas[token] for token in tokens - stopwords}
+        found.discard(None)
+        doc_freq.update(found)
 
     ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
     antonym_index = lexicon.antonym_index()

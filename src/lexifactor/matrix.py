@@ -2,6 +2,8 @@
 
 The matrix is binary and sparse: row ``d`` column ``t`` is 1 exactly
 when some token of document ``d`` lemmatizes to dictionary term ``t``.
+Tokens reach their lemmas through the run's token→lemma map, the one
+the dictionary pass filled (see :mod:`lexifactor.lexicon`).
 It is stored in compressed sparse row (CSR) form: the columns of row
 ``d`` are ``indices[indptr[d]:indptr[d + 1]]``, ascending and unique.
 Every consumer works on those two arrays directly.
@@ -10,13 +12,16 @@ Every consumer works on those two arrays directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyMatrixError, ValidationError
-from .ingest import Review, tokenize
-from .lexicon import Lexicon, TermDictionary, lemmatize_token
+from .ingest import Review, Token, tokenize
+
+# lemmatize_token is not called here; it stays importable from this
+# module because bench/traced.py counts lemmatizer calls through it.
+from .lexicon import Lexicon, TermDictionary, lemma_map, lemmatize_token  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -58,36 +63,39 @@ class DocTermMatrix:
         return np.repeat(np.arange(self.n_docs, dtype=np.int64), np.diff(self.indptr))
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnStats:
-    """Per-column document frequency, incidence rate, and variance."""
+class ColumnStats(NamedTuple):
+    """Per-column document frequency, incidence rate p = df/n, and
+    Bernoulli variance p(1-p), one array entry per column."""
 
-    df: int
-    p: float
-    variance: float
+    df: np.ndarray
+    p: np.ndarray
+    variance: np.ndarray
 
 
 def build_matrix(
     reviews: Sequence[Review],
     dictionary: TermDictionary,
-    lexicon: Lexicon,
+    lemmas: Mapping[Token, str | None] | Lexicon,
 ) -> DocTermMatrix:
-    """Map each review onto the dictionary columns it mentions."""
+    """Map each review onto the dictionary columns it mentions.
+
+    ``lemmas`` is the token→lemma map that
+    :func:`lexifactor.lexicon.build_dictionary` filled over the same
+    reviews; it must hold every token. Given a :class:`Lexicon` instead,
+    the map is first built with :func:`lexifactor.lexicon.lemma_map`.
+    Stopwords are not removed here: a stopword token whose lemma is a
+    term sets that term's column, although the dictionary did not count
+    it toward the term's document frequency.
+    """
+    if isinstance(lemmas, Lexicon):
+        lemmas = lemma_map(reviews, lemmas)
     index = dictionary.index
-    cache: dict[str, int] = {}  # token -> column, -1 for no dictionary term
     doc_ids: list[str] = []
     indptr = [0]
     indices: list[int] = []
     for review in reviews:
-        columns: set[int] = set()
-        for token in tokenize(review.text):
-            column = cache.get(token)
-            if column is None:
-                lemma = lemmatize_token(lexicon, token)
-                column = -1 if lemma is None else index.get(lemma, -1)
-                cache[token] = column
-            if column >= 0:
-                columns.add(column)
+        columns = {index.get(lemmas[token]) for token in set(tokenize(review.text))}
+        columns.discard(None)
         indices.extend(sorted(columns))
         indptr.append(len(indices))
         doc_ids.append(review.id)
@@ -99,17 +107,13 @@ def build_matrix(
     )
 
 
-def column_stats(matrix: DocTermMatrix) -> tuple[ColumnStats, ...]:
+def column_stats(matrix: DocTermMatrix) -> ColumnStats:
     """Document frequency, rate p = df/n, and Bernoulli variance p(1-p)."""
     if matrix.n_docs == 0:
         raise EmptyMatrixError("cannot compute column stats of an empty matrix")
-    counts = np.bincount(matrix.indices, minlength=matrix.n_terms)
-    n = matrix.n_docs
-    stats = []
-    for df in counts.tolist():
-        p = df / n
-        stats.append(ColumnStats(df=df, p=p, variance=p * (1.0 - p)))
-    return tuple(stats)
+    df = np.bincount(matrix.indices, minlength=matrix.n_terms)
+    p = df / matrix.n_docs
+    return ColumnStats(df=df, p=p, variance=p * (1.0 - p))
 
 
 def _select_columns(matrix: DocTermMatrix, keep: Sequence[int]) -> DocTermMatrix:
@@ -131,7 +135,7 @@ def _select_columns(matrix: DocTermMatrix, keep: Sequence[int]) -> DocTermMatrix
 def filter_low_variance(
     matrix: DocTermMatrix,
     min_variance: float,
-    stats: Sequence[ColumnStats] | None = None,
+    stats: ColumnStats | None = None,
 ) -> tuple[DocTermMatrix, tuple[int, ...]]:
     """Keep columns with variance >= ``min_variance``; also return their
     original column indices."""
@@ -139,7 +143,7 @@ def filter_low_variance(
         raise ValidationError(f"min_variance must lie in [0, 0.25], got {min_variance}")
     if stats is None:
         stats = column_stats(matrix)
-    keep = tuple(i for i, s in enumerate(stats) if s.variance >= min_variance)
+    keep = tuple(np.flatnonzero(stats.variance >= min_variance).tolist())
     if not keep:
         raise EmptyMatrixError(f"no columns with variance >= {min_variance}")
     return _select_columns(matrix, keep), keep
@@ -148,7 +152,7 @@ def filter_low_variance(
 def filter_top_variance(
     matrix: DocTermMatrix,
     k: int,
-    stats: Sequence[ColumnStats] | None = None,
+    stats: ColumnStats | None = None,
 ) -> tuple[DocTermMatrix, tuple[int, ...]]:
     """Keep the ``k`` highest-variance columns (ties go to the lower
     column index); also return their original indices."""
@@ -156,8 +160,9 @@ def filter_top_variance(
         raise ValidationError(f"k must be positive, got {k}")
     if stats is None:
         stats = column_stats(matrix)
-    ranked = sorted(range(len(stats)), key=lambda i: (-stats[i].variance, i))
-    keep = tuple(sorted(ranked[: min(k, len(ranked))]))
+    # A stable sort of the negated variances keeps tied columns in index order.
+    ranked = np.argsort(-stats.variance, kind="stable")
+    keep = tuple(np.sort(ranked[:k]).tolist())
     if not keep:
         raise EmptyMatrixError("matrix has no columns")
     return _select_columns(matrix, keep), keep

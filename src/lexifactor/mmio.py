@@ -12,8 +12,10 @@ digits of all indices together.
 
 from __future__ import annotations
 
+import io
 import re
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -76,23 +78,10 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
     if b"\r" in data:  # universal newlines, as a text-mode read sees them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
-    pos = (data.find(b"\n") + 1) or len(data)
-    header = data[:pos].decode("utf-8", "replace").rstrip("\n")
-    if header.split() != _HEADER.split():
-        raise ParseError(f"unsupported Matrix Market header: {header!r}", path=path, line=1)
-    lineno = 1
-    while True:  # comment and blank lines may precede the size line
-        if pos >= len(data):
-            raise ParseError("missing size line", path=path)
-        end = (data.find(b"\n", pos) + 1) or len(data)
-        size_line, pos = data[pos:end].decode("utf-8", "replace"), end
-        lineno += 1
-        if not size_line.startswith("%") and size_line.strip():
-            break
-    try:
-        n_docs, n_terms, nnz = (int(x) for x in size_line.split())
-    except ValueError as exc:
-        raise ParseError(f"malformed size line: {size_line!r}", path=path, line=lineno) from exc
+    stream = io.BytesIO(data)
+    lines = (line.decode("utf-8", "replace") for line in stream)
+    n_docs, n_terms, nnz, lineno = _parse_size(lines, path)
+    pos = stream.tell()  # just past the size line
     if n_docs != len(doc_ids):
         raise ParseError(
             f"matrix declares {n_docs} rows but docs sidecar lists {len(doc_ids)}", path=path
@@ -115,6 +104,33 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_docs)))),
         indices=columns,
     )
+
+
+def read_matrix_size(mtx_path: str | Path) -> tuple[int, int, int]:
+    """The rows, columns and entries that the size line of ``mtx_path``
+    declares. The header is checked; sidecars and entries are not read."""
+    with open(mtx_path, encoding="utf-8", errors="replace") as handle:
+        return _parse_size(handle, str(mtx_path))[:3]
+
+
+def _parse_size(lines: Iterable[str], path: str) -> tuple[int, int, int, int]:
+    """Check the header line and parse the size line, which may follow
+    ``%`` comment and blank lines. Returns rows, columns, entries and the
+    size line's line number."""
+    lines = iter(lines)
+    header = next(lines, "").rstrip("\n")
+    if header.split() != _HEADER.split():
+        raise ParseError(f"unsupported Matrix Market header: {header!r}", path=path, line=1)
+    for lineno, size_line in enumerate(lines, start=2):
+        if not size_line.startswith("%") and size_line.strip():
+            break
+    else:
+        raise ParseError("missing size line", path=path)
+    try:
+        n_docs, n_terms, nnz = (int(x) for x in size_line.split())
+    except ValueError as exc:
+        raise ParseError(f"malformed size line: {size_line!r}", path=path, line=lineno) from exc
+    return n_docs, n_terms, nnz, lineno
 
 
 def _parse_entries(

@@ -2,7 +2,10 @@
 
 Each stage reads its inputs from the output directory (or from the
 configured input files) and writes its artifacts back there, so the
-full pipeline is literally the five stages run in order. The manifest
+full pipeline is literally the five stages run in order. Within one
+``pipeline`` command the only thing handed between stages in memory is
+the dict stage's token→lemma map, which spares the matrix stage a second
+lexicon parse; a stage run on its own rebuilds it. The manifest
 records, per stage, artifact checksums and basic counts plus the config
 snapshot; timestamps, thread counts, and directory locations stay out
 so that reruns yield byte-identical artifacts.
@@ -14,6 +17,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -32,10 +36,10 @@ from .efa import (
     varimax_rotate,
 )
 from .errors import DependencyError, ParseError, StageError, ValidationError
-from .ingest import load_reviews
+from .ingest import Token, load_reviews
 from .lexicon import TermDictionary, build_dictionary, load_stopwords, parse_lexical_database
 from .matrix import build_matrix, column_stats, filter_low_variance
-from .mmio import read_matrix_market, write_matrix_market
+from .mmio import read_matrix_market, read_matrix_size, write_matrix_market
 from .report import (
     attach_labels,
     build_report,
@@ -172,7 +176,19 @@ def table_from_payload(payload: dict) -> LoadingTable:
 # stage bodies
 
 
-def stage_ingest(config: PipelineConfig) -> dict:
+@dataclass
+class Handoff:
+    """State one run hands from stage to stage besides its artifacts.
+
+    ``lemmas`` is the token→lemma map the dict stage filled; the matrix
+    stage uses it in place of the lexicon and clears it. Nothing here
+    reaches an artifact.
+    """
+
+    lemmas: dict[Token, str | None] | None = None
+
+
+def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
     """Load the input corpus, validate it, and normalize to JSON Lines."""
     source = _require_input(config.input, "input")
     reviews = load_reviews(source, config.format)
@@ -190,24 +206,28 @@ def _load_lexicon(config: PipelineConfig):
     return parse_lexical_database(root)
 
 
-def stage_dict(config: PipelineConfig) -> dict:
+def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the term dictionary from the normalized reviews."""
     reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
     lexicon = _load_lexicon(config)
     stopwords = load_stopwords(config.stopwords)
-    dictionary = build_dictionary(reviews, lexicon, stopwords)
+    # Only the map outlives this stage: keeping the parsed lexicon alive
+    # as well would raise the run's peak memory.
+    handoff.lemmas = {}
+    dictionary = build_dictionary(reviews, lexicon, stopwords, handoff.lemmas)
     _write_json(config.out / "dictionary.json", dictionary.to_json_dict())
     return {"terms": len(dictionary)}
 
 
-def stage_matrix(config: PipelineConfig) -> dict:
+def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the document-term matrix and its low-variance filtered view."""
     reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
     dictionary = TermDictionary.from_json_dict(
         _read_json(_require_artifact(config.out / "dictionary.json"))
     )
-    lexicon = _load_lexicon(config)
-    matrix = build_matrix(reviews, dictionary, lexicon)
+    lemmas = handoff.lemmas
+    handoff.lemmas = None  # freed when this stage ends, before the EFA stage
+    matrix = build_matrix(reviews, dictionary, _load_lexicon(config) if lemmas is None else lemmas)
     write_matrix_market(matrix, config.out / "matrix.mtx")
 
     stats = column_stats(matrix)
@@ -230,7 +250,7 @@ def stage_matrix(config: PipelineConfig) -> dict:
     }
 
 
-def stage_efa(config: PipelineConfig) -> dict:
+def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     """Correlate, extract, rotate, prune, and refine factor loadings."""
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
     corr = correlation_matrix(filtered)
@@ -250,7 +270,7 @@ def stage_efa(config: PipelineConfig) -> dict:
     return {"factors_extracted": model.k, "factors_retained": len(refined.factors)}
 
 
-def stage_report(config: PipelineConfig) -> dict:
+def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:
     """Render the retained factors with exemplars and optional labels."""
     table = table_from_payload(_read_json(_require_artifact(config.out / "loading_table.json")))
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
@@ -265,7 +285,7 @@ def stage_report(config: PipelineConfig) -> dict:
     return {"factors_reported": len(report.sections)}
 
 
-STAGE_FUNCS: dict[str, Callable[[PipelineConfig], dict]] = {
+STAGE_FUNCS: dict[str, Callable[[PipelineConfig, Handoff], dict]] = {
     "ingest": stage_ingest,
     "dict": stage_dict,
     "matrix": stage_matrix,
@@ -307,7 +327,7 @@ def cmd_stage(name: str, config: PipelineConfig) -> None:
         raise ValidationError(f"unknown stage: {name!r}")
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
-        counts = STAGE_FUNCS[name](config)
+        counts = STAGE_FUNCS[name](config, Handoff())
         _update_manifest(config, name, counts)
 
 
@@ -316,8 +336,9 @@ def cmd_pipeline(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
         _manifest_path(config).unlink(missing_ok=True)
+        handoff = Handoff()
         for stage in STAGES:
-            counts = STAGE_FUNCS[stage](config)
+            counts = STAGE_FUNCS[stage](config, handoff)
             _update_manifest(config, stage, counts)
 
 
@@ -363,11 +384,9 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     filtered_path = config.out / "filtered.mtx"
     expected = _count("matrix", "kept_columns")
     if expected is not None and filtered_path.is_file():
-        matrix = read_matrix_market(filtered_path)
-        if matrix.n_terms != expected:
-            problems.append(
-                f"matrix: manifest says {expected} kept columns, matrix has {matrix.n_terms}"
-            )
+        _, n_terms, _ = read_matrix_size(filtered_path)
+        if n_terms != expected:
+            problems.append(f"matrix: manifest says {expected} kept columns, matrix has {n_terms}")
 
     table_path = config.out / "loading_table.json"
     expected = _count("efa", "factors_retained")

@@ -8,10 +8,19 @@ against something independent.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from lexifactor import DocTermMatrix, ParseError
+from lexifactor import (
+    DocTermMatrix,
+    EmptyDictionaryError,
+    ParseError,
+    TermDictionary,
+    TermProvenance,
+    lemmatize_token,
+    tokenize,
+)
 
 
 def from_rows(doc_ids, terms, rows) -> DocTermMatrix:
@@ -122,6 +131,62 @@ def reference_exemplars(matrix: DocTermMatrix, table, limit: int) -> dict[int, t
         scored.sort()
         exemplars[factor.factor] = tuple(doc_id for _, doc_id in scored[:limit])
     return exemplars
+
+
+def reference_document_lemmas(lexicon, review, stopwords) -> set[str]:
+    """Distinct candidate lemmas of one review: every token occurrence
+    that is not a stopword goes through the lemmatizer."""
+    lemmas = set()
+    for token in tokenize(review.text):
+        if token in stopwords:
+            continue
+        lemma = lemmatize_token(lexicon, token)
+        if lemma is not None:
+            lemmas.add(lemma)
+    return lemmas
+
+
+def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
+    """Greedy dictionary over per-occurrence candidate lemmas."""
+    doc_freq = Counter()
+    for review in reviews:
+        doc_freq.update(reference_document_lemmas(lexicon, review, stopwords))
+    antonym_index = lexicon.antonym_index()
+    claimed, blocked, terms, provenance = set(), set(), [], {}
+    for lemma, freq in sorted(doc_freq.items(), key=lambda item: (-item[1], item[0])):
+        pos = "noun" if (lemma, "noun") in lexicon.entries else "adj"
+        senses = lexicon.senses(lemma, pos)
+        if senses & claimed or senses & blocked:
+            continue
+        terms.append(lemma)
+        claimed.update(senses)
+        for sense in senses:
+            blocked.update(antonym_index.get(sense, frozenset()))
+        provenance[lemma] = TermProvenance(pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq)
+    if not terms:
+        raise EmptyDictionaryError("no candidate terms survived dictionary construction")
+    return TermDictionary(
+        terms=tuple(terms), index={t: i for i, t in enumerate(terms)}, provenance=provenance
+    )
+
+
+def reference_build_matrix(reviews, dictionary, lexicon) -> DocTermMatrix:
+    """Document-term matrix that looks up every token occurrence, with
+    stopwords kept, through a token-to-column cache."""
+    cache = {}
+    rows = []
+    for review in reviews:
+        columns = set()
+        for token in tokenize(review.text):
+            column = cache.get(token)
+            if column is None:
+                lemma = lemmatize_token(lexicon, token)
+                column = -1 if lemma is None else dictionary.index.get(lemma, -1)
+                cache[token] = column
+            if column >= 0:
+                columns.add(column)
+        rows.append(tuple(sorted(columns)))
+    return from_rows([review.id for review in reviews], dictionary.terms, rows)
 
 
 def random_binary(rng: np.random.Generator, n_docs: int, n_terms: int, density: float = 0.3) -> np.ndarray:

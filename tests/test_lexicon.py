@@ -229,7 +229,8 @@ class TestBuildDictionary:
         assert "child" in dictionary.terms
 
     def test_stopwords_removed_before_lemmatization(self, lexicon):
-        # with "glasses" stopped, the token never reaches the lemmatizer
+        # with "glasses" stopped, its lemma is no candidate (the token is
+        # still lemmatized, for the token→lemma map the matrix reads)
         reviews = _reviews(["glasses ticket"])
         dictionary = build_dictionary(reviews, lexicon, frozenset({"glasses"}))
         assert "glass" not in dictionary.terms

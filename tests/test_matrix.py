@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import from_dense, from_rows, rows_of, to_dense
+from helpers import (
+    from_dense,
+    from_rows,
+    reference_build_dictionary,
+    reference_build_matrix,
+    rows_of,
+    to_dense,
+)
 from lexifactor import (
+    EmptyDictionaryError,
     EmptyMatrixError,
     Review,
     ValidationError,
@@ -14,7 +22,20 @@ from lexifactor import (
     column_stats,
     filter_low_variance,
     filter_top_variance,
+    lemmatize_token,
+    tokenize,
 )
+from lexifactor.lexicon import lemma_map
+from wordnet_fixture import expected_adj_lemmas, expected_noun_lemmas
+
+# Lemmas of the fixture lexicon, regular and irregular inflections of
+# them, forms that inflect lemmas it lacks, junk, and stopwords.
+LEXICAL_WORDS = sorted(expected_noun_lemmas() | expected_adj_lemmas()) + [
+    "tickets", "boxes", "churches", "berries", "wishes", "quizzes", "taxes", "buzzes",
+    "glasses", "men", "axes", "children", "corpora", "data", "teeth", "oxen", "geese",
+    "better", "best", "happier", "worst", "faster", "nicer", "simpler", "later", "cheapest",
+    "qwzzk", "x", "customer", "service", "the", "and", "s", "t", "don", "more", "very",
+]
 
 
 @pytest.fixture()
@@ -51,6 +72,60 @@ class TestBuildMatrix:
         assert rows_of(matrix) == ((0, 1),)
 
 
+    def test_stopword_token_sets_column_but_not_doc_freq(self, lexicon):
+        # "glasses" is a stopword here, yet lemmatizes to the admitted term
+        # "glass": the matrix marks its review, the doc_freq does not count it.
+        reviews = [
+            Review(id="a", source="g2", text="glasses ticket"),
+            Review(id="b", source="g2", text="glass"),
+        ]
+        lemmas = {}
+        dictionary = build_dictionary(reviews, lexicon, frozenset({"glasses"}), lemmas)
+        assert dictionary.terms == ("glass", "ticket")
+        assert dictionary.provenance["glass"].doc_freq == 1
+        assert lemmas["glasses"] == "glass"
+        for source in (lemmas, lexicon):
+            assert rows_of(build_matrix(reviews, dictionary, source)) == ((0, 1), (0,))
+
+
+_review_text = st.lists(
+    st.tuples(
+        st.sampled_from(LEXICAL_WORDS), st.sampled_from([" ", ", ", "! ", "7", "\n"]), st.booleans()
+    ),
+    max_size=12,
+).map(lambda parts: "".join((w.upper() if up else w) + sep for w, sep, up in parts))
+
+
+class TestLemmaMapEquivalence:
+    """The token→lemma map gives the same dictionary and matrix as
+    lemmatizing every token occurrence."""
+
+    @given(
+        texts=st.lists(_review_text, min_size=1, max_size=8),
+        stopwords=st.frozensets(st.sampled_from(LEXICAL_WORDS), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_occurrence_references(self, lexicon, texts, stopwords):
+        reviews = [Review(id=f"r{i}", source="g2", text=text) for i, text in enumerate(texts)]
+        try:
+            expected = reference_build_dictionary(reviews, lexicon, stopwords)
+        except EmptyDictionaryError:
+            with pytest.raises(EmptyDictionaryError):
+                build_dictionary(reviews, lexicon, stopwords)
+            return
+        lemmas = {}
+        dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
+        assert dictionary == expected
+
+        tokens = {token for review in reviews for token in tokenize(review.text)}
+        assert lemmas == {token: lemmatize_token(lexicon, token) for token in tokens}
+        assert lemma_map(reviews, lexicon) == lemmas
+
+        reference = reference_build_matrix(reviews, expected, lexicon)
+        assert build_matrix(reviews, dictionary, lemmas) == reference
+        assert build_matrix(reviews, dictionary, lexicon) == reference
+
+
 class TestColumnStats:
     def test_hand_computed_values(self):
         # 100 docs; columns hit 50, 1, and 10 of them
@@ -59,18 +134,18 @@ class TestColumnStats:
         dense[0, 1] = 1
         dense[:10, 2] = 1
         stats = column_stats(from_dense(dense))
-        assert [s.df for s in stats] == [50, 1, 10]
-        assert [s.p for s in stats] == [0.5, 0.01, 0.1]
-        assert stats[0].variance == 0.25
-        assert stats[1].variance == pytest.approx(0.0099, abs=1e-15)
-        assert stats[2].variance == pytest.approx(0.09, abs=1e-15)
+        assert stats.df.tolist() == [50, 1, 10]
+        assert stats.p.tolist() == [0.5, 0.01, 0.1]
+        assert stats.variance[0] == 0.25
+        assert stats.variance[1] == pytest.approx(0.0099, abs=1e-15)
+        assert stats.variance[2] == pytest.approx(0.09, abs=1e-15)
 
     def test_zero_and_full_columns(self):
         dense = np.zeros((4, 2))
         dense[:, 1] = 1
         stats = column_stats(from_dense(dense))
-        assert stats[0].df == 0 and stats[0].variance == 0.0
-        assert stats[1].df == 4 and stats[1].variance == 0.0
+        assert stats.df[0] == 0 and stats.variance[0] == 0.0
+        assert stats.df[1] == 4 and stats.variance[1] == 0.0
 
     def test_empty_matrix_rejected(self):
         empty = from_rows((), ("a",), ())
@@ -88,11 +163,11 @@ class TestColumnStats:
     def test_matches_dense_recount(self, cells):
         dense = cells.astype(np.float64)
         stats = column_stats(from_dense(dense))
-        assert [s.df for s in stats] == dense.sum(axis=0).astype(int).tolist()
-        for j, s in enumerate(stats):
+        assert stats.df.tolist() == dense.sum(axis=0).astype(int).tolist()
+        for j in range(dense.shape[1]):
             p = dense[:, j].mean()
-            assert s.p == pytest.approx(p, abs=1e-15)
-            assert s.variance == pytest.approx(p * (1 - p), abs=1e-15)
+            assert stats.p[j] == pytest.approx(p, abs=1e-15)
+            assert stats.variance[j] == pytest.approx(p * (1 - p), abs=1e-15)
 
 
 class TestFilterLowVariance:
@@ -146,6 +221,9 @@ class TestFilterTopVariance:
         dense = cells.astype(np.float64)
         filtered, kept = filter_top_variance(from_dense(dense), k)
         np.testing.assert_array_equal(to_dense(filtered), dense[:, list(kept)])
+        variance = column_stats(from_dense(dense)).variance.tolist()
+        ranked = sorted(range(len(variance)), key=lambda j: (-variance[j], j))
+        assert kept == tuple(sorted(ranked[:k]))
 
     def test_keeps_k_highest(self):
         dense = np.zeros((100, 4))

@@ -9,6 +9,7 @@ from lexifactor import (
     read_matrix_market,
     write_matrix_market,
 )
+from lexifactor.mmio import read_matrix_size
 
 
 @pytest.fixture()
@@ -141,6 +142,31 @@ def csr_matrices(draw):
         for _ in range(n_docs)
     ]
     return from_rows([f"d{i}" for i in range(n_docs)], [f"t{j}" for j in range(n_terms)], rows)
+
+
+class TestReadSize:
+    def test_size_line_after_comments_without_reading_entries(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate pattern general\r\n% note\r\n\r\n3 7 2\r\nnot an entry\r\n"
+        )
+        assert read_matrix_size(path) == (3, 7, 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("%%MatrixMarket matrix array real general\n1 1 0\n", "unsupported Matrix Market header"),
+            ("%%MatrixMarket matrix coordinate pattern general\n% only\n", "missing size line"),
+            ("%%MatrixMarket matrix coordinate pattern general\n1 x 0\n", "malformed size line"),
+        ],
+    )
+    def test_same_errors_as_full_read(self, tmp_path, tiny, text, message):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(tiny, path)
+        path.write_text(text, encoding="utf-8")
+        for read in (read_matrix_size, read_matrix_market):
+            with pytest.raises(ParseError, match=message):
+                read(path)
 
 
 class TestShuffledRoundTrip:

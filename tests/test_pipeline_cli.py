@@ -1,11 +1,23 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lexifactor import StageError, build_config, cmd_pipeline, cmd_stage, cmd_verify
+from lexifactor import (
+    StageError,
+    build_config,
+    cmd_pipeline,
+    cmd_stage,
+    cmd_verify,
+    load_reviews,
+    tokenize,
+)
+from lexifactor import lexicon as lexicon_module
+from lexifactor import matrix as matrix_module
+from lexifactor import pipeline as pipeline_module
 from lexifactor.cli import main
 
 VOCAB_GROUP_A = ["suite", "tickets", "agent"]
@@ -186,6 +198,33 @@ class TestDeterminism:
         assert artifact_bytes(out) == first
 
 
+class TestWorkCounts:
+    def test_pipeline_parses_once_and_lemmatizes_each_token_once(
+        self, corpus, lexicon_dir, tmp_path, monkeypatch
+    ):
+        parses = []
+        lemmatized = Counter()
+        parse = pipeline_module.parse_lexical_database
+        lemmatize_token = lexicon_module.lemmatize_token
+
+        def counted_parse(root):
+            parses.append(root)
+            return parse(root)
+
+        def counted_lemmatize(lexicon, token):
+            lemmatized[token] += 1
+            return lemmatize_token(lexicon, token)
+
+        monkeypatch.setattr(pipeline_module, "parse_lexical_database", counted_parse)
+        for module in (lexicon_module, matrix_module):
+            monkeypatch.setattr(module, "lemmatize_token", counted_lemmatize)
+        assert run_pipeline(corpus, lexicon_dir, tmp_path / "out") == 0
+
+        assert len(parses) == 1
+        tokens = {token for review in load_reviews(corpus) for token in tokenize(review.text)}
+        assert lemmatized == Counter(dict.fromkeys(tokens, 1))
+
+
 class TestConfigHandling:
     def test_config_file_applies_and_flags_win(self, corpus, lexicon_dir, tmp_path):
         config_file = tmp_path / "run.conf"
@@ -288,6 +327,19 @@ class TestExitCodes:
         (out / "loadings.csv").write_text("factor,term,loading,retained\n", encoding="utf-8")
         assert main(["verify", "--output-dir", str(out)]) == 2
         assert "checksum mismatch" in capsys.readouterr().err
+
+    def test_verify_compares_kept_columns_with_size_line(self, corpus, lexicon_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        kept = manifest["stages"]["matrix"]["counts"]["kept_columns"]
+        manifest["stages"]["matrix"]["counts"]["kept_columns"] = kept + 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        config = build_config(overrides={"output_dir": str(out)})
+        assert cmd_verify(config) == [
+            f"matrix: manifest says {kept + 1} kept columns, matrix has {kept}"
+        ]
 
     def test_verify_ok_prints_and_returns_zero(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
