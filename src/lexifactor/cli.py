@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from . import __version__
-from .config import build_config
+from .config import PipelineConfig, build_config
 from .errors import StageError, ValidationError
 from .pipeline import STAGES, cmd_pipeline, cmd_stage, cmd_verify
 
@@ -22,20 +23,7 @@ EXIT_VALIDATION = 1
 EXIT_STAGE = 2
 EXIT_IO = 3
 
-_CONFIG_KEYS = (
-    "input",
-    "format",
-    "lexicon_dir",
-    "stopwords",
-    "labels",
-    "output_dir",
-    "min_variance",
-    "factors",
-    "threshold",
-    "retain",
-    "exemplars",
-    "threads",
-)
+_CONFIG_KEYS = tuple(field.name for field in fields(PipelineConfig))
 
 _STAGE_HELP = {
     "ingest": "load and normalize the review corpus",

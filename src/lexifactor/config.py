@@ -79,19 +79,16 @@ class PipelineConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-_INT_KEYS = ("retain", "exemplars", "threads")
-_FLOAT_KEYS = ("min_variance", "threshold")
+# Annotations are strings under ``from __future__ import annotations``.
+_PARSERS = {"int": int, "float": float}
 
 
 def _coerce(key: str, value: str) -> Any:
+    parse = _PARSERS.get(_FIELD_TYPES[key])
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return value if parse is None else parse(value)
     except ValueError:
         raise ConfigurationError(f"config key {key!r}: cannot parse {value!r}") from None
-    return value
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateColumnError, ValidationError
-from .matrix import ColumnStats, DocTermMatrix, column_stats
+from .matrix import DocTermMatrix, column_stats
 
 
 @dataclass(eq=False)
@@ -75,9 +75,7 @@ class VarimaxResult(NamedTuple):
     criterion_history: tuple[float, ...]
 
 
-def correlation_matrix(
-    matrix: DocTermMatrix, stats: ColumnStats | None = None
-) -> CorrelationMatrix:
+def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     """Phi coefficients between all column pairs.
 
     For binary columns the phi coefficient is the Pearson correlation:
@@ -86,8 +84,7 @@ def correlation_matrix(
     symmetric; values are clipped to [-1, 1] and the diagonal is exactly
     1. Constant columns have no correlation and are an error.
     """
-    if stats is None:
-        stats = column_stats(matrix)
+    stats = column_stats(matrix)
     rates, variances = stats.p, stats.variance
     constant = np.nonzero(variances == 0.0)[0]
     if constant.size:

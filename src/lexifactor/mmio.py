@@ -5,9 +5,11 @@ with 1-based ``row col`` entries in row-major order. Column labels live
 in a ``<name>.terms.txt`` sidecar and row ids in ``<name>.docs.txt``,
 one per line, aligned with the matrix dimensions.
 
-The reader works on whole arrays rather than line by line: it
-classifies every byte of the entry section at once and accumulates the
-digits of all indices together.
+The reader has two paths to one result. A line scan defines what it
+accepts and every error it raises. An entry section in exactly the
+writer's own form, which is every file the pipeline writes, is instead
+checked and decoded in a few array operations; any other section, valid
+or not, goes to the scan.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ _HEADER = "%%MatrixMarket matrix coordinate pattern general"
 # More digits than this may overflow int64; such an index is out of range.
 _MAX_DIGITS = 18
 
-_SPACE, _DIGIT, _SIGN, _OTHER = 0, 1, 2, 3
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = _SPACE  # str.isspace() in ASCII
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
-_BYTE_CLASS.flags.writeable = False
-
-_COMMENT_LINE = re.compile(rb"^%[^\n]*", re.MULTILINE)
+# The ASCII whitespace of str.isspace(); CRs are newlines by now.
+_BLANK = rb"[ \t\x0b\x0c\x1c-\x1f]"
+_BLANK_LINE = re.compile(_BLANK + rb"*")
+_ENTRY_LINE = re.compile(
+    _BLANK + rb"*(?P<row>[+-]?(?P<row_digits>[0-9]+))"
+    + _BLANK + rb"+(?P<column>[+-]?(?P<column_digits>[0-9]+))" + _BLANK + rb"*"
+)
 
 
 def terms_sidecar(mtx_path: str | Path) -> Path:
@@ -64,10 +65,14 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
 
     Entries may appear in any order, between ``%`` comment lines and
     blank lines. Each entry line holds two ASCII decimal indices, with
-    an optional sign. Malformed entries, out-of-range indices (including
-    any of more than 18 digits), duplicates and a wrong entry count are
-    format errors; when a file has several, the one on the earliest line
-    is reported.
+    an optional sign, separated by ASCII whitespace. Malformed entries,
+    out-of-range indices, duplicates and a wrong entry count are format
+    errors; when a file has several, the one on the earliest line is
+    reported. An index of more than 18 digits is out of range, even with
+    leading zeros, so that every index fits in int64.
+
+    Entries exactly as the writer writes them are decoded in one array
+    pass; anything else is read one line at a time.
     """
     mtx_path = Path(mtx_path)
     path = str(mtx_path)
@@ -92,9 +97,10 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
         )
 
     body = data[pos:]
-    if b"%" in body:  # blank out comment lines, keeping the line count
-        body = _COMMENT_LINE.sub(b"", body)
-    rows, columns = _parse_entries(body, lineno, n_docs, n_terms, path)
+    entries = _writer_entries(body, n_docs, n_terms)
+    if entries is None:
+        entries = _scan_entries(body, lineno, n_docs, n_terms, path)
+    rows, columns = entries
     if rows.size != nnz:
         raise ParseError(f"size line declares {nnz} entries, file has {rows.size}", path=path)
 
@@ -133,96 +139,66 @@ def _parse_size(lines: Iterable[str], path: str) -> tuple[int, int, int, int]:
     return n_docs, n_terms, nnz, lineno
 
 
-def _parse_entries(
-    body: bytes, lineno: int, n_docs: int, n_terms: int, path: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and decode the entry lines that follow the size line.
+def _writer_entries(
+    body: bytes, n_docs: int, n_terms: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode an entry section in exactly the writer's form, or return
+    None and leave every other section, valid or not, to the scan.
 
-    ``lineno`` is the file line number of the size line. Returns 0-based
-    row and column indices sorted row-major.
+    That form is ``row column\\n`` lines of 1-18 unsigned ASCII digits,
+    indices in range and entries in strictly increasing row-major order.
     """
     text = np.frombuffer(body, dtype=np.uint8)
-    if not text.size:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    byte_class = _BYTE_CLASS.take(text)
-    line_ends = np.flatnonzero(text == ord("\n"))
-    if text[-1] != ord("\n"):
-        line_ends = np.append(line_ends, text.size)
-    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
-
-    def line_text(line: int) -> str:
-        return body[line_starts[line] : line_ends[line]].decode("utf-8", "replace")
-
-    def fail(message: str, line: int):
-        raise ParseError(message, path=path, line=lineno + 1 + int(line))
-
-    in_token = byte_class != _SPACE
-    token_start = in_token.copy()
-    token_start[1:] &= ~in_token[:-1]
-    token_end = in_token  # updated in place: in_token is not read again
-    token_end[:-1] &= ~token_end[1:]
-    starts = np.flatnonzero(token_start)
-    ends = np.flatnonzero(token_end) + 1
-    # Every line segment holds at least its newline, so none is empty.
-    tokens_per_line = np.add.reduceat(token_start, line_starts, dtype=np.int64)
-
-    # A line is malformed when it holds a byte that is neither a digit,
-    # whitespace nor a sign, a sign that does not open a token followed by
-    # a digit, or a number of tokens other than zero (blank) or two.
-    signs = np.flatnonzero(byte_class == _SIGN)
-    # A sign in the last byte reads itself as its successor: not a digit.
-    bad_signs = signs[~token_start[signs] | (byte_class.take(signs + 1, mode="clip") != _DIGIT)]
-    bad_bytes = np.flatnonzero(byte_class == _OTHER)
-    malformed = np.concatenate(
-        (
-            np.searchsorted(line_ends, bad_bytes[:1]),
-            np.searchsorted(line_ends, bad_signs[:1]),
-            np.flatnonzero((tokens_per_line != 0) & (tokens_per_line != 2))[:1],
-        )
-    )
-    first_malformed = int(malformed.min()) if malformed.size else line_ends.size
-
-    # Every line before the first malformed one is blank or an entry.
-    entry_lines = np.flatnonzero(tokens_per_line[:first_malformed] == 2)
-    n_tokens = 2 * entry_lines.size
-    starts, ends = starts[:n_tokens], ends[:n_tokens]
-    negative = text[starts] == ord("-")
-    width = ends - starts - (byte_class[starts] == _SIGN)
-    values = np.zeros(n_tokens, dtype=np.int64)
-    power = 1
-    for place in range(min(int(width.max(initial=0)), _MAX_DIGITS)):
-        # Bytes left of a token's first digit are multiplied by zero.
-        digit = text.take(ends - 1 - place, mode="clip") - ord("0")
-        values += digit * ((place < width) * power)
-        power *= 10
-    values[width > _MAX_DIGITS] = np.iinfo(np.int64).max
-    values[negative] *= -1
+    if text.size and text[-1] != ord("\n") or np.any(text > ord("9")):
+        return None
+    # The only bytes below "0" are the separators: a space, then a newline.
+    separators = np.flatnonzero(text < ord("0"))
+    kinds = text[separators]
+    if kinds.size % 2 or np.any(kinds[0::2] != ord(" ")) or np.any(kinds[1::2] != ord("\n")):
+        return None
+    widths = np.diff(separators, prepend=-1) - 1
+    if np.any((widths < 1) | (widths > _MAX_DIGITS)):
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
     rows, columns = values[0::2] - 1, values[1::2] - 1
-
-    outside = np.flatnonzero((rows < 0) | (rows >= n_docs) | (columns < 0) | (columns >= n_terms))
-    n_inside = int(outside[0]) if outside.size else rows.size
-
-    # Duplicates among the entries before the first out-of-range one; the
-    # second occurrence is the offending line.
-    keys = rows[:n_inside] * n_terms + columns[:n_inside]
-    order = None
+    if np.any((rows < 0) | (rows >= n_docs) | (columns < 0) | (columns >= n_terms)):
+        return None
+    keys = rows * n_terms + columns
     if np.any(keys[1:] <= keys[:-1]):
-        order = np.argsort(keys, kind="stable")
-        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if repeats.size:
-            line = entry_lines[repeats.min()]
-            row, column = (int(x) for x in line_text(line).split())
-            fail(f"duplicate entry ({row}, {column})", line)
-    if outside.size:
-        line = entry_lines[outside[0]]
-        row, column = (int(x) for x in line_text(line).split())
-        fail(f"entry ({row}, {column}) outside {n_docs}x{n_terms}", line)
-    if first_malformed < line_ends.size:
-        fail(f"malformed entry: {line_text(first_malformed).strip()!r}", first_malformed)
-
-    if order is not None:
-        rows, columns = rows[order], columns[order]
+        return None
     return rows, columns
+
+
+def _scan_entries(
+    body: bytes, lineno: int, n_docs: int, n_terms: int, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate and decode the entry lines one at a time.
+
+    ``lineno`` is the file line number of the size line. Raises at the
+    first offending line. Returns 0-based row and column indices sorted
+    row-major.
+    """
+    rows: list[int] = []
+    columns: list[int] = []
+    seen: set[tuple[int, int]] = set()
+    for line, text in enumerate(body.split(b"\n"), start=lineno + 1):
+        if text.startswith(b"%") or _BLANK_LINE.fullmatch(text):
+            continue
+        entry = _ENTRY_LINE.fullmatch(text)
+        if entry is None:
+            message = f"malformed entry: {text.decode('utf-8', 'replace').strip()!r}"
+            raise ParseError(message, path=path, line=line)
+        row, column = int(entry["row"]), int(entry["column"])
+        too_long = max(len(entry["row_digits"]), len(entry["column_digits"])) > _MAX_DIGITS
+        if too_long or not (1 <= row <= n_docs and 1 <= column <= n_terms):
+            raise ParseError(f"entry ({row}, {column}) outside {n_docs}x{n_terms}", path=path, line=line)
+        if (row, column) in seen:
+            raise ParseError(f"duplicate entry ({row}, {column})", path=path, line=line)
+        seen.add((row, column))
+        rows.append(row - 1)
+        columns.append(column - 1)
+    order = np.lexsort((columns, rows))
+    return np.array(rows, dtype=np.int64)[order], np.array(columns, dtype=np.int64)[order]
 
 
 def _write_lines(path: Path, lines: tuple[str, ...]) -> None:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import from_dense, from_rows, random_binary, reference_read_entries, rows_of
@@ -9,6 +9,7 @@ from lexifactor import (
     read_matrix_market,
     write_matrix_market,
 )
+from lexifactor import mmio
 from lexifactor.mmio import read_matrix_size
 
 
@@ -211,6 +212,12 @@ class TestReadErrorTable:
             ("2 2 3\n1 1\n2 2\n1 1\n", 5, "duplicate entry (1, 1)"),
             ("2 2 4\n1 1\n2 2\n2 2\n1 1\n", 5, "duplicate entry (2, 2)"),
             ("2 2 3\n1 1\n2 2\n", None, "size line declares 3 entries, file has 2"),
+            ("2 2 1\n1\xa02\n", 3, "malformed entry: '1\\xa02'"),
+            ("2 2 1\n\u0661 2\n", 3, "malformed entry: '\u0661 2'"),
+            ("2 2 1\n1_0 2\n", 3, "malformed entry: '1_0 2'"),
+            ("2 2 2\n1 1\n2", 4, "malformed entry: '2'"),
+            # More than 18 digits is out of range, even with leading zeros.
+            ("2 2 1\n0000000000000000001 1\n", 3, "entry (1, 1) outside 2x2"),
             # The earliest offending line wins, whatever its kind.
             ("2 2 3\n1 1\n3 1\n1 x\n", 4, "entry (3, 1) outside 2x2"),
             ("2 2 3\n1 1\n1 1\n3 1\n", 4, "duplicate entry (1, 1)"),
@@ -225,6 +232,14 @@ class TestReadErrorTable:
         assert caught.value.line == line
         location = f"{path}:{line}" if line else f"{path}"
         assert str(caught.value) == f"{location}: {message}"
+
+    def test_invalid_utf8_shown_as_replacement_character(self, tmp_path, tiny):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(tiny, path)
+        path.write_bytes(_HEADER.encode() + b"2 2 1\n1 2\xff\n")
+        with pytest.raises(ParseError) as caught:
+            read_matrix_market(path)
+        assert str(caught.value) == f"{path}:3: malformed entry: '1 2\ufffd'"
 
 
 _INDEX = st.builds(
@@ -268,3 +283,55 @@ class TestReaderMatchesReference:
         assert outcome(lambda p: rows_of(read_matrix_market(p))) == outcome(
             lambda p: reference_read_entries(p, 3, 3)
         )
+
+
+def _no_scan(*args):
+    raise AssertionError("writer output reached the line scan")
+
+
+class TestReaderPaths:
+    """Writer output is decoded by the array path alone; any other entry
+    section goes to the line scan, which defines what is accepted."""
+
+    @given(matrix=csr_matrices())
+    @example(matrix=from_rows([], [], []))
+    @example(matrix=from_rows(["a", "b"], [], [(), ()]))
+    @example(matrix=from_rows(["a", "b"], ["x"], [(), ()]))
+    @settings(max_examples=100, deadline=None)
+    def test_writer_output_never_reaches_the_scan(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("writer") / "m.mtx"
+        write_matrix_market(matrix, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mmio, "_scan_entries", _no_scan)
+            assert read_matrix_market(path) == matrix
+
+    @pytest.mark.parametrize(
+        "body, scans_expected",
+        [
+            (b"2 2 3\n% note\n1 1\n1 2\n2 2\n", 1),
+            (b"2 2 3\n1 1\n\n1 2\n2 2\n", 1),
+            (b"2 2 3\n2 2\n1 2\n1 1\n", 1),
+            (b"2 2 3\n+1 1\n1 2\n2 2\n", 1),
+            (b"2 2 3\n1\t1\n1 2\n2 2\n", 1),
+            (b"2 2 3\n1 1\n1 2\n2 2", 1),
+            (b"2 2 3\n1 1\n1\x1c2\n2 2\n", 1),
+            (b"2 2 3\n1 1\r1 2\r\n2 2 \r\n", 1),
+            # CRs become newlines before either path sees the entries.
+            (b"2 2 3\r\n1 1\r\n1 2\r\n2 2\r\n", 0),
+        ],
+        ids=["comment", "blank", "reversed", "plus", "tab", "unterminated", "x1c", "cr-space", "crlf"],
+    )
+    def test_other_forms_parse(self, tmp_path, tiny, monkeypatch, body, scans_expected):
+        scans = []
+        scan = mmio._scan_entries
+
+        def counting_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(mmio, "_scan_entries", counting_scan)
+        path = tmp_path / "m.mtx"
+        write_matrix_market(tiny, path)
+        path.write_bytes(_HEADER.encode() + body)
+        assert read_matrix_market(path) == tiny
+        assert len(scans) == scans_expected
