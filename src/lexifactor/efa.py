@@ -224,6 +224,10 @@ def uls_objective(corr_values: np.ndarray, loadings: np.ndarray) -> float:
     return float(np.sum(residual * residual))
 
 
+VARIMAX_TOL = 1e-10
+VARIMAX_MAX_SWEEPS = 100
+
+
 def varimax_criterion(loadings: np.ndarray) -> float:
     """Sum over factors of the variance of squared loadings."""
     W2 = np.asarray(loadings) ** 2
@@ -234,8 +238,8 @@ def varimax_criterion(loadings: np.ndarray) -> float:
 def varimax_rotate(
     loadings: np.ndarray,
     kaiser_normalize: bool = True,
-    tol: float = 1e-10,
-    max_sweeps: int = 100,
+    tol: float = VARIMAX_TOL,
+    max_sweeps: int = VARIMAX_MAX_SWEEPS,
 ) -> VarimaxResult:
     """Orthogonal Varimax rotation by pairwise planar rotations.
 
@@ -247,6 +251,20 @@ def varimax_rotate(
     positive; both steps are folded into the rotation matrix. The
     criterion history tracks the working (normalized) matrix and never
     decreases: a sweep that loses ground to roundoff is undone.
+
+    Each sweep visits the pairs in row-cyclic order (0, 1), (0, 2), ...,
+    (k-2, k-1), one level of :func:`_pair_levels` at a time. A level
+    holds disjoint pairs, and each pair runs after every earlier pair
+    that shares a factor with it. Rotating pair (f, g) reads and writes
+    only columns f and g of W and T, so a level done in one batch gives
+    exactly the bits of the sequential order. Each pair also keeps its
+    own arithmetic: the same elementwise ``u`` and ``v``, pairwise sums
+    along one contiguous row of a factor-major copy, the angle from
+    ``math``, and the same p x 2 @ 2 x 2 BLAS product, now one item of
+    a stacked matmul. Two shortcuts that look equivalent change the
+    last bit: the elementwise update ``x*c + y*s`` rounds differently
+    from the matmul, and sums down a column of a p x k array, or along
+    a transposed view, add in another order.
     """
     L0 = np.array(loadings, dtype=np.float64)
     if L0.ndim != 2:
@@ -264,30 +282,39 @@ def varimax_rotate(
     else:
         W = L0.copy()
 
-    T = np.eye(k)
+    # Factor-major working copies: row j is column j of W or T.
+    Wt, Tt = W.T.copy(), np.eye(k)
+    levels = _pair_levels(k)
+    # u, v, u*u - v*v, u*v and a temporary, one row per pair, reused by
+    # every level; writing into them spares an allocation per operation.
+    buffers = np.empty((5, k // 2, p))
     history = [varimax_criterion(W)]
     sweeps = 0
     for _ in range(max_sweeps if k > 1 else 0):
-        W_before, T_before = W.copy(), T.copy()
-        for f in range(k - 1):
-            for g in range(f + 1, k):
-                x, y = W[:, f], W[:, g]
-                u = x * x - y * y
-                v = 2.0 * x * y
-                A = u.sum()
-                B = v.sum()
-                C = np.sum(u * u - v * v)
-                D = 2.0 * np.sum(u * v)
-                phi = 0.25 * math.atan2(D - 2.0 * A * B / p, C - (A * A - B * B) / p)
+        Wt_before, Tt_before = Wt.copy(), Tt.copy()
+        for pairs in levels:
+            x, y = Wt[pairs[:, 0]], Wt[pairs[:, 1]]
+            u, v, uu_vv, uv, tmp = buffers[:, : len(pairs)]
+            np.subtract(np.multiply(x, x, out=u), np.multiply(y, y, out=tmp), out=u)
+            np.multiply(np.multiply(2.0, x, out=v), y, out=v)
+            np.subtract(np.multiply(u, u, out=uu_vv), np.multiply(v, v, out=tmp), out=uu_vv)
+            np.multiply(u, v, out=uv)
+            sums = buffers[:4, : len(pairs)].sum(axis=2).tolist()  # A, B, C, D / 2
+            turns, rotations = [], []
+            for i, (A, B, C, half_D) in enumerate(zip(*sums)):
+                phi = 0.25 * math.atan2(2.0 * half_D - 2.0 * A * B / p, C - (A * A - B * B) / p)
                 if abs(phi) < 1e-15:
                     continue
                 c, s = math.cos(phi), math.sin(phi)
-                R = np.array([[c, -s], [s, c]])
-                W[:, [f, g]] = W[:, [f, g]] @ R
-                T[:, [f, g]] = T[:, [f, g]] @ R
-        value = varimax_criterion(W)
+                turns.append(i)
+                rotations += (c, -s, s, c)
+            if turns:
+                R = np.array(rotations).reshape(-1, 2, 2)
+                _rotate_pairs(Wt, pairs[turns], R)
+                _rotate_pairs(Tt, pairs[turns], R)
+        value = varimax_criterion(Wt.T.copy())  # C order: column sums add row by row
         if value < history[-1]:
-            W, T = W_before, T_before  # roundoff regression: undo the sweep
+            Wt, Tt = Wt_before, Tt_before  # roundoff regression: undo the sweep
             break
         sweeps += 1
         gain = value - history[-1]
@@ -297,6 +324,7 @@ def varimax_rotate(
 
     # Order factors by explained sum of squares, then fix signs; fold both
     # into T so the rotated pattern is exactly loadings @ T.
+    T = Tt.T.copy()
     rotated = L0 @ T
     ssq = np.sum(rotated * rotated, axis=0)
     order = sorted(range(k), key=lambda j: (-ssq[j], j))
@@ -312,6 +340,34 @@ def varimax_rotate(
     return VarimaxResult(
         loadings=rotated, rotation=T, sweeps=sweeps, criterion_history=tuple(history)
     )
+
+
+def _pair_levels(k: int) -> list[np.ndarray]:
+    """The row-cyclic factor pairs, grouped into levels of disjoint pairs.
+
+    Each pair goes one level after the last earlier pair that shares a
+    factor with it. Each level is an n x 2 array of factor indices.
+    """
+    levels: list[list[tuple[int, int]]] = []
+    last = [-1] * k  # level of the latest pair that touched each factor
+    for f in range(k - 1):
+        for g in range(f + 1, k):
+            level = max(last[f], last[g]) + 1
+            if level == len(levels):
+                levels.append([])
+            levels[level].append((f, g))
+            last[f] = last[g] = level
+    return [np.array(pairs) for pairs in levels]
+
+
+def _rotate_pairs(M: np.ndarray, pairs: np.ndarray, R: np.ndarray) -> None:
+    """Rotate the two rows ``pairs[i]`` of the factor-major ``M`` by the
+    2 x 2 ``R[i]``, in place: one stacked matmul whose items are the
+    C-contiguous m x 2 blocks ``M[pairs[i]].T``, m being the row length."""
+    XY = M[pairs]
+    blocks = np.empty((len(pairs), M.shape[1], 2))
+    blocks[:, :, 0], blocks[:, :, 1] = XY[:, 0], XY[:, 1]
+    M[pairs] = (blocks @ R).transpose(0, 2, 1)
 
 
 def prune_loadings(model: FactorModel, threshold: float, terms: Sequence[str]) -> LoadingTable:

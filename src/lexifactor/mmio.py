@@ -188,10 +188,13 @@ def _scan_entries(
         if entry is None:
             message = f"malformed entry: {text.decode('utf-8', 'replace').strip()!r}"
             raise ParseError(message, path=path, line=line)
-        row, column = int(entry["row"]), int(entry["column"])
+        # The digit count alone puts a long index out of range; int() would
+        # refuse one of thousands of digits.
         too_long = max(len(entry["row_digits"]), len(entry["column_digits"])) > _MAX_DIGITS
+        row, column = (0, 0) if too_long else (int(entry["row"]), int(entry["column"]))
         if too_long or not (1 <= row <= n_docs and 1 <= column <= n_terms):
-            raise ParseError(f"entry ({row}, {column}) outside {n_docs}x{n_terms}", path=path, line=line)
+            shown = f"{_decimal(entry['row'])}, {_decimal(entry['column'])}"
+            raise ParseError(f"entry ({shown}) outside {n_docs}x{n_terms}", path=path, line=line)
         if (row, column) in seen:
             raise ParseError(f"duplicate entry ({row}, {column})", path=path, line=line)
         seen.add((row, column))
@@ -199,6 +202,12 @@ def _scan_entries(
         columns.append(column - 1)
     order = np.lexsort((columns, rows))
     return np.array(rows, dtype=np.int64)[order], np.array(columns, dtype=np.int64)[order]
+
+
+def _decimal(index: bytes) -> str:
+    """``str(int(index))`` for a signed ASCII index of any length."""
+    digits = index.lstrip(b"+-").lstrip(b"0").decode() or "0"
+    return "-" + digits if index.startswith(b"-") and digits != "0" else digits
 
 
 def _write_lines(path: Path, lines: tuple[str, ...]) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,9 +25,12 @@ from typing import Any, Callable, Iterator
 from . import __version__
 from .config import PipelineConfig, parse_factor_spec
 from .efa import (
+    VARIMAX_MAX_SWEEPS,
+    VARIMAX_TOL,
     FactorLoadings,
     FactorModel,
     LoadingTable,
+    VarimaxResult,
     correlation_matrix,
     eigendecompose,
     extract_uls,
@@ -68,6 +72,8 @@ STAGE_ARTIFACTS = {
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".lock"
+
+_LOG = logging.getLogger("lexifactor")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,7 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     k = select_factor_count(eigenvalues, method=method, k=fixed_k)
     model = extract_uls(corr, k)
     rotation = varimax_rotate(model.loadings)
+    _LOG.info("efa: %s", _solver_summary(model, rotation))
     model.rotation = rotation.rotation
     model.rotated = rotation.loadings
     table = prune_loadings(model, config.threshold, corr.terms)
@@ -268,6 +275,25 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     _write_json(config.out / "loading_table.json", table_payload(refined))
     write_loadings_csv(model, corr.terms, refined, config.out / "loadings.csv")
     return {"factors_extracted": model.k, "factors_retained": len(refined.factors)}
+
+
+def _solver_summary(model: FactorModel, rotation: VarimaxResult) -> str:
+    """What ULS and Varimax did: iterations, convergence, Heywood cases,
+    sweeps and the last criterion gain."""
+    uls = f"ULS {model.n_iter} iterations, {'converged' if model.converged else 'not converged'}"
+    heywood = "Heywood case" if model.heywood else "no Heywood case"
+    varimax = f"Varimax {rotation.sweeps} sweeps"
+    history = rotation.criterion_history
+    if len(history) > 1:
+        gain = history[-1] - history[-2]
+        if gain < VARIMAX_TOL:
+            outcome = "converged"
+        elif rotation.sweeps >= VARIMAX_MAX_SWEEPS:
+            outcome = "stopped at the sweep cap"
+        else:
+            outcome = "stopped when a sweep lost ground to roundoff"
+        varimax += f", last gain {gain:.3g}, {outcome}"
+    return f"{uls}, {heywood}; {varimax}"
 
 
 def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:

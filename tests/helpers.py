@@ -21,6 +21,7 @@ from lexifactor import (
     lemmatize_token,
     tokenize,
 )
+from lexifactor.efa import VarimaxResult, varimax_criterion
 
 
 def from_rows(doc_ids, terms, rows) -> DocTermMatrix:
@@ -187,6 +188,75 @@ def reference_build_matrix(reviews, dictionary, lexicon) -> DocTermMatrix:
                 columns.add(column)
         rows.append(tuple(sorted(columns)))
     return from_rows([review.id for review in reviews], dictionary.terms, rows)
+
+
+def reference_varimax_rotate(
+    loadings: np.ndarray,
+    kaiser_normalize: bool = True,
+    tol: float = 1e-10,
+    max_sweeps: int = 100,
+) -> VarimaxResult:
+    """Varimax with one pair rotation at a time, in row-cyclic order.
+
+    The sequential loop that the package's level-batched sweeps must
+    reproduce bit for bit: same sweeps, criterion history, loadings and
+    rotation.
+    """
+    L0 = np.array(loadings, dtype=np.float64)
+    p, k = L0.shape
+    if kaiser_normalize:
+        norms = np.sqrt(np.sum(L0 * L0, axis=1))
+        norms[norms == 0.0] = 1.0
+        W = L0 / norms[:, None]
+    else:
+        W = L0.copy()
+
+    T = np.eye(k)
+    history = [varimax_criterion(W)]
+    sweeps = 0
+    for _ in range(max_sweeps if k > 1 else 0):
+        W_before, T_before = W.copy(), T.copy()
+        for f in range(k - 1):
+            for g in range(f + 1, k):
+                x, y = W[:, f], W[:, g]
+                u = x * x - y * y
+                v = 2.0 * x * y
+                A = u.sum()
+                B = v.sum()
+                C = np.sum(u * u - v * v)
+                D = 2.0 * np.sum(u * v)
+                phi = 0.25 * math.atan2(D - 2.0 * A * B / p, C - (A * A - B * B) / p)
+                if abs(phi) < 1e-15:
+                    continue
+                c, s = math.cos(phi), math.sin(phi)
+                R = np.array([[c, -s], [s, c]])
+                W[:, [f, g]] = W[:, [f, g]] @ R
+                T[:, [f, g]] = T[:, [f, g]] @ R
+        value = varimax_criterion(W)
+        if value < history[-1]:
+            W, T = W_before, T_before
+            break
+        sweeps += 1
+        gain = value - history[-1]
+        history.append(value)
+        if gain < tol:
+            break
+
+    rotated = L0 @ T
+    ssq = np.sum(rotated * rotated, axis=0)
+    order = sorted(range(k), key=lambda j: (-ssq[j], j))
+    T = T[:, order]
+    rotated = rotated[:, order]
+    signs = np.ones(k)
+    for j in range(k):
+        anchor = int(np.argmax(np.abs(rotated[:, j])))
+        if rotated[anchor, j] < 0:
+            signs[j] = -1.0
+    T = T * signs
+    rotated = L0 @ T
+    return VarimaxResult(
+        loadings=rotated, rotation=T, sweeps=sweeps, criterion_history=tuple(history)
+    )
 
 
 def random_binary(rng: np.random.Generator, n_docs: int, n_terms: int, density: float = 0.3) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import from_dense, random_binary, textbook_phi
+from helpers import from_dense, random_binary, reference_varimax_rotate, textbook_phi
 from lexifactor import (
     CorrelationMatrix,
     DegenerateColumnError,
@@ -21,7 +21,7 @@ from lexifactor import (
     varimax_criterion,
     varimax_rotate,
 )
-from lexifactor.efa import uls_objective
+from lexifactor.efa import _pair_levels, uls_objective
 
 
 def corr_from(values) -> CorrelationMatrix:
@@ -324,6 +324,77 @@ class TestVarimax:
             varimax_rotate(np.zeros((0, 2)))
         with pytest.raises(ValidationError):
             varimax_rotate(np.zeros(3))
+
+
+# Subnormals, signed zeros and values whose squares underflow.
+_TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-160])
+
+
+@st.composite
+def varimax_cases(draw):
+    p, k = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    elements = st.one_of(st.floats(-1.0, 1.0, width=64), _TINY)
+    loadings = draw(arrays(np.float64, (p, k), elements=elements))
+    for i in draw(st.lists(st.integers(0, p - 1), max_size=3)):
+        loadings[i, :] = draw(st.sampled_from([0.0, -0.0]))
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        loadings[:, j] = draw(st.sampled_from([0.0, -0.0]))
+    return loadings, draw(st.booleans()), draw(st.integers(1, 40))
+
+
+def assert_same_rotation(result, reference):
+    assert result.sweeps == reference.sweeps
+    assert result.criterion_history == reference.criterion_history
+    assert result.loadings.tobytes() == reference.loadings.tobytes()
+    assert result.rotation.tobytes() == reference.rotation.tobytes()
+
+
+class TestVarimaxMatchesSequentialReference:
+    """Level-batched sweeps give the bits of one pair rotation at a time."""
+
+    @given(varimax_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal(self, case):
+        loadings, kaiser_normalize, max_sweeps = case
+        assert_same_rotation(
+            varimax_rotate(loadings, kaiser_normalize, max_sweeps=max_sweeps),
+            reference_varimax_rotate(loadings, kaiser_normalize, max_sweeps=max_sweeps),
+        )
+
+    def test_production_shape(self):
+        loadings = np.random.default_rng(586).normal(size=(586, 32)) * 0.3
+        assert_same_rotation(
+            varimax_rotate(loadings, max_sweeps=3), reference_varimax_rotate(loadings, max_sweeps=3)
+        )
+
+    @pytest.mark.parametrize(
+        "k, seed, kaiser_normalize", [(6, 0, False), (10, 1, True), (12, 5, True)]
+    )
+    def test_undone_sweep(self, k, seed, kaiser_normalize):
+        # Two rows and many factors: the fourth sweep lowers the criterion
+        # and is undone while the gain is still far above tol.
+        loadings = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, k))
+        result = varimax_rotate(loadings, kaiser_normalize, max_sweeps=40)
+        assert_same_rotation(
+            result, reference_varimax_rotate(loadings, kaiser_normalize, max_sweeps=40)
+        )
+        history = result.criterion_history
+        assert result.sweeps == 3 and history[-1] - history[-2] > 1e-8
+
+    @pytest.mark.parametrize("k, n_levels", [(1, 0), (2, 1), (3, 3), (4, 5), (32, 61), (40, 77)])
+    def test_schedule(self, k, n_levels):
+        levels = [[tuple(pair) for pair in level.tolist()] for level in _pair_levels(k)]
+        assert len(levels) == n_levels
+        cyclic = [(f, g) for f in range(k - 1) for g in range(f + 1, k)]
+        assert sorted(pair for level in levels for pair in level) == cyclic
+        level_of = {pair: i for i, level in enumerate(levels) for pair in level}
+        for level in levels:
+            factors = [factor for pair in level for factor in pair]
+            assert len(set(factors)) == len(factors)
+        for i, pair in enumerate(cyclic):
+            for earlier in cyclic[:i]:
+                if set(pair) & set(earlier):
+                    assert level_of[earlier] < level_of[pair]
 
 
 def model_with_rotated(rotated: np.ndarray) -> FactorModel:

@@ -218,6 +218,16 @@ class TestReadErrorTable:
             ("2 2 2\n1 1\n2", 4, "malformed entry: '2'"),
             # More than 18 digits is out of range, even with leading zeros.
             ("2 2 1\n0000000000000000001 1\n", 3, "entry (1, 1) outside 2x2"),
+            ("2 2 1\n-0000000000000000002 1\n", 3, "entry (-2, 1) outside 2x2"),
+            # Past int()'s 4,300-digit limit the message keeps the same form.
+            pytest.param(
+                "2 2 1\n" + "1" * 5000 + " 1\n", 3, f"entry ({'1' * 5000}, 1) outside 2x2",
+                id="5000-digit-row",
+            ),
+            pytest.param(
+                "2 2 1\n1 -" + "0" * 5000 + "\n", 3, "entry (1, 0) outside 2x2",
+                id="5000-digit-negative-zero-column",
+            ),
             # The earliest offending line wins, whatever its kind.
             ("2 2 3\n1 1\n3 1\n1 x\n", 4, "entry (3, 1) outside 2x2"),
             ("2 2 3\n1 1\n1 1\n3 1\n", 4, "duplicate entry (1, 1)"),

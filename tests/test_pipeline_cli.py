@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -6,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import from_dense, random_binary
 from lexifactor import (
     StageError,
     build_config,
@@ -19,6 +22,7 @@ from lexifactor import lexicon as lexicon_module
 from lexifactor import matrix as matrix_module
 from lexifactor import pipeline as pipeline_module
 from lexifactor.cli import main
+from lexifactor.mmio import write_matrix_market
 
 VOCAB_GROUP_A = ["suite", "tickets", "agent"]
 VOCAB_GROUP_B = ["glasses", "box", "churches"]
@@ -318,6 +322,35 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_pipeline(corpus, lexicon_dir, out) == 2
 
+    def test_overlong_index_in_filtered_matrix_is_stage_error(
+        self, corpus, lexicon_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        path = out / "filtered.mtx"
+        header, size = path.read_text(encoding="utf-8").split("\n")[:2]
+        rows, columns, _ = size.split()
+        path.write_text(f"{header}\n{rows} {columns} 1\n{'1' * 5000} 1\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            [
+                "efa",
+                "--input",
+                str(corpus),
+                "--lexicon-dir",
+                str(lexicon_dir),
+                "--output-dir",
+                str(out),
+                "--factors",
+                "fixed:2",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}:3: entry (111")
+        assert err.endswith(f", 1) outside {rows}x{columns}\n")
+
     def test_verify_without_manifest(self, tmp_path, capsys):
         assert main(["verify", "--output-dir", str(tmp_path / "empty")]) == 2
 
@@ -361,6 +394,54 @@ class TestExitCodes:
         blocker.write_text("x", encoding="utf-8")
         out = blocker / "out"  # parent is a file: mkdir must fail
         assert run_pipeline(corpus, lexicon_dir, out) == 3
+
+
+def solver_lines(caplog) -> list[str]:
+    return [record.getMessage() for record in caplog.records if record.name == "lexifactor"]
+
+
+class TestSolverLog:
+    """``stage_efa`` logs one INFO line on what ULS and Varimax did."""
+
+    def test_converged_rotation(self, corpus, lexicon_dir, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="lexifactor"):
+            assert run_pipeline(corpus, lexicon_dir, out) == 0
+        (line,) = solver_lines(caplog)
+        model = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        assert model["converged"] and not model["heywood"]
+        assert line.startswith(
+            f"efa: ULS {model['n_iter']} iterations, converged, no Heywood case; "
+            f"Varimax {model['rotation_sweeps']} sweeps, last gain "
+        )
+        assert line.endswith(", converged")
+
+    def test_capped_rotation(self, tmp_path, caplog, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        dense = random_binary(np.random.default_rng(5), 300, 30)
+        write_matrix_market(from_dense(dense), out / "filtered.mtx")
+        # These loadings need 255 sweeps; after 100 the gain is still 3.2e-9.
+        capped = np.random.default_rng(12).normal(size=(30, 8)) * 0.4
+        extract = pipeline_module.extract_uls
+
+        def extract_then_swap(corr, k):
+            model = extract(corr, k)
+            model.loadings = capped
+            return model
+
+        monkeypatch.setattr(pipeline_module, "extract_uls", extract_then_swap)
+        config = build_config(overrides={"output_dir": str(out), "factors": "fixed:8"})
+        with caplog.at_level(logging.INFO, logger="lexifactor"):
+            pipeline_module.stage_efa(config, pipeline_module.Handoff())
+        (line,) = solver_lines(caplog)
+        assert re.fullmatch(
+            r"efa: ULS \d+ iterations, (not )?converged, (no )?Heywood case; "
+            r"Varimax 100 sweeps, last gain 3\.2\de-09, stopped at the sweep cap",
+            line,
+        )
+        model = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        assert model["rotation_sweeps"] == 100
 
 
 class TestDirectApi:
