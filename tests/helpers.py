@@ -301,3 +301,46 @@ def align_columns(estimated: np.ndarray, target: np.ndarray) -> np.ndarray:
             column = -column
         aligned[:, j] = column
     return aligned
+
+
+def _report_rows(markdown: str) -> dict[int, list[str]]:
+    """Factor id to its words, in table order, from a rendered report."""
+    rows = {}
+    for line in markdown.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            words = [entry.rsplit(" (", 1)[0] for entry in cells[1].split(", ") if entry]
+            rows[int(cells[0])] = words
+    return rows
+
+
+def assert_equivalent_factor_results(
+    model: dict, golden_model: dict, report_md: str, golden_report_md: str, atol: float = 1e-8
+) -> None:
+    """Numeric equivalence of an efa/report result with a golden one.
+
+    ``model`` and ``golden_model`` are parsed ``model.json`` payloads,
+    the other two are ``report.md`` texts. They must keep the same terms
+    and k; each golden rotated factor must match a distinct factor of
+    ``model`` within ``atol`` up to sign; and the report must retain
+    the matched factors with the same words in the same order.
+    """
+    assert model["terms"] == golden_model["terms"], "kept terms differ"
+    assert model["k"] == golden_model["k"], f"k {model['k']} != {golden_model['k']}"
+    rotated = np.array(model["rotated"]).reshape(len(model["terms"]), model["k"])
+    golden = np.array(golden_model["rotated"]).reshape(rotated.shape)
+    match: dict[int, int] = {}  # golden factor id -> factor id, both 1-based
+    for g in range(golden.shape[1]):
+        gaps = [
+            min(np.max(np.abs(rotated[:, a] - golden[:, g])), np.max(np.abs(rotated[:, a] + golden[:, g])))
+            for a in range(rotated.shape[1])
+        ]
+        best = int(np.argmin(gaps))
+        assert gaps[best] <= atol, f"golden factor {g + 1}: closest factor differs by {gaps[best]:.3g}"
+        match[g + 1] = best + 1
+    assert len(set(match.values())) == len(match), "two golden factors matched one factor"
+
+    rows, golden_rows = _report_rows(report_md), _report_rows(golden_report_md)
+    assert set(rows) == {match[g] for g in golden_rows}, "retained factors differ"
+    for g, words in golden_rows.items():
+        assert rows[match[g]] == words, f"golden factor {g}: words {rows[match[g]]} != {words}"
