@@ -1,10 +1,11 @@
 """Exploratory factor analysis over a binary document-term matrix.
 
-The chain is: phi correlation matrix, eigenvalue-based factor count
-selection, unweighted least squares extraction (iterated principal axis
-on the reduced correlation matrix), Varimax rotation, then pruning the
-rotated loadings into per-factor word lists and refining those to the
-strongest factors.
+The chain is a flow of values: the phi correlation matrix, its
+descending spectrum, a factor count chosen from that spectrum, the
+unweighted least squares model (iterated principal axis on the reduced
+correlation matrix), its Varimax rotation, and the rotated p x k
+loadings pruned into per-factor word lists and refined to the
+strongest factors. No step changes a value an earlier step returned.
 """
 
 from __future__ import annotations
@@ -29,21 +30,18 @@ class CorrelationMatrix:
 
 @dataclass(eq=False)
 class FactorModel:
-    """Result of a ULS extraction, optionally carrying a rotation.
+    """Result of a ULS extraction.
 
-    ``loadings`` is the unrotated p x k pattern; ``rotation`` starts as
-    the identity and ``rotated`` equals ``loadings`` until a rotation is
-    attached. ``eigenvalues`` is the full spectrum of the correlation
-    matrix, descending.
+    ``loadings`` is the unrotated p x k pattern, each factor signed so
+    its largest-magnitude loading is positive. The rotated pattern is
+    the ``loadings`` of the :class:`VarimaxResult` that
+    :func:`varimax_rotate` returns for it.
     """
 
     k: int
     loadings: np.ndarray
     communalities: np.ndarray
     uniquenesses: np.ndarray
-    eigenvalues: np.ndarray
-    rotation: np.ndarray
-    rotated: np.ndarray
     converged: bool
     n_iter: int
     heywood: bool
@@ -107,11 +105,10 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(values=values, terms=matrix.terms)
 
 
-def eigendecompose(corr: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    eigenvalues, eigenvectors = np.linalg.eigh(corr.values)
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], eigenvectors[:, order]
+def eigendecompose(corr: CorrelationMatrix) -> np.ndarray:
+    """The eigenvalues of the correlation matrix, descending; choosing
+    the factor count needs no eigenvectors."""
+    return np.sort(np.linalg.eigvalsh(corr.values))[::-1]
 
 
 def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int | None = None) -> int:
@@ -162,7 +159,8 @@ def extract_uls(
     top ``k`` components (negative eigenvalues clipped to zero), and
     updates the communalities from the loading row sums of squares until
     the largest change drops below ``tol``. Communalities are clamped at
-    1; hitting the clamp sets the ``heywood`` flag.
+    1; hitting the clamp sets the ``heywood`` flag. Each factor is signed
+    so that its largest-magnitude loading is positive.
     """
     C = np.asarray(corr.values, dtype=np.float64)
     p = C.shape[0]
@@ -172,8 +170,6 @@ def extract_uls(
         raise ValidationError(f"factor count {k} outside [1, {p}]")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be positive and max_iter at least 1")
-
-    full_spectrum = np.sort(np.linalg.eigvalsh(C))[::-1]
 
     h2 = _initial_communalities(C)
     reduced = C.copy()
@@ -197,24 +193,23 @@ def extract_uls(
             converged = True
             break
 
-    # Fix each factor's sign so its largest-magnitude loading is positive.
-    for j in range(k):
-        anchor = int(np.argmax(np.abs(loadings[:, j])))
-        if loadings[anchor, j] < 0:
-            loadings[:, j] = -loadings[:, j]
-
     return FactorModel(
         k=k,
-        loadings=loadings,
+        loadings=loadings * _anchor_signs(loadings),
         communalities=h2,
         uniquenesses=1.0 - h2,
-        eigenvalues=full_spectrum,
-        rotation=np.eye(k),
-        rotated=loadings.copy(),
         converged=converged,
         n_iter=iterations,
         heywood=heywood,
     )
+
+
+def _anchor_signs(L: np.ndarray) -> np.ndarray:
+    """Per column of ``L``, the sign (+1.0 or -1.0) that makes its
+    largest-magnitude entry positive; the first such entry wins a tie.
+    Multiplying by it is exact."""
+    anchors = np.argmax(np.abs(L), axis=0)
+    return np.where(L[anchors, np.arange(L.shape[1])] < 0, -1.0, 1.0)
 
 
 def uls_objective(corr_values: np.ndarray, loadings: np.ndarray) -> float:
@@ -328,14 +323,7 @@ def varimax_rotate(
     rotated = L0 @ T
     ssq = np.sum(rotated * rotated, axis=0)
     order = sorted(range(k), key=lambda j: (-ssq[j], j))
-    T = T[:, order]
-    rotated = rotated[:, order]
-    signs = np.ones(k)
-    for j in range(k):
-        anchor = int(np.argmax(np.abs(rotated[:, j])))
-        if rotated[anchor, j] < 0:
-            signs[j] = -1.0
-    T = T * signs
+    T = T[:, order] * _anchor_signs(rotated[:, order])
     rotated = L0 @ T
     return VarimaxResult(
         loadings=rotated, rotation=T, sweeps=sweeps, criterion_history=tuple(history)
@@ -370,18 +358,20 @@ def _rotate_pairs(M: np.ndarray, pairs: np.ndarray, R: np.ndarray) -> None:
     M[pairs] = (blocks @ R).transpose(0, 2, 1)
 
 
-def prune_loadings(model: FactorModel, threshold: float, terms: Sequence[str]) -> LoadingTable:
-    """Per factor, keep terms whose rotated |loading| is at or above
-    ``threshold``, ordered by descending |loading| (ties alphabetical)."""
+def prune_loadings(rotated: np.ndarray, threshold: float, terms: Sequence[str]) -> LoadingTable:
+    """Per factor, keep terms whose |loading| is at or above
+    ``threshold``, ordered by descending |loading| (ties alphabetical).
+
+    ``rotated`` is the p x k rotated pattern, ``VarimaxResult.loadings``;
+    row i belongs to ``terms[i]``.
+    """
     if threshold < 0.0:
         raise ValidationError(f"threshold must be non-negative, got {threshold}")
-    if len(terms) != model.rotated.shape[0]:
-        raise ValidationError(
-            f"{len(terms)} terms for {model.rotated.shape[0]} loading rows"
-        )
+    if len(terms) != rotated.shape[0]:
+        raise ValidationError(f"{len(terms)} terms for {rotated.shape[0]} loading rows")
     factors = []
-    for j in range(model.k):
-        column = model.rotated[:, j]
+    for j in range(rotated.shape[1]):
+        column = rotated[:, j]
         picked = [
             (terms[i], float(column[i]))
             for i in range(len(terms))

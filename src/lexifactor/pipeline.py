@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from . import __version__
 from .config import PipelineConfig, parse_factor_spec
 from .efa import (
@@ -137,20 +139,24 @@ def _run_lock(out: Path) -> Iterator[None]:
 # artifact (de)serialization
 
 
-def model_payload(model: FactorModel, terms: tuple[str, ...], sweeps: int) -> dict:
+def model_payload(
+    model: FactorModel, eigenvalues: np.ndarray, rotation: VarimaxResult, terms: tuple[str, ...]
+) -> dict:
+    """``model.json``: the ULS model, the correlation spectrum and the
+    Varimax rotation of the model's loadings."""
     return {
         "k": model.k,
         "terms": list(terms),
         "loadings": model.loadings.tolist(),
         "communalities": model.communalities.tolist(),
         "uniquenesses": model.uniquenesses.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "rotation": model.rotation.tolist(),
-        "rotated": model.rotated.tolist(),
+        "eigenvalues": eigenvalues.tolist(),
+        "rotation": rotation.rotation.tolist(),
+        "rotated": rotation.loadings.tolist(),
         "converged": model.converged,
         "n_iter": model.n_iter,
         "heywood": model.heywood,
-        "rotation_sweeps": sweeps,
+        "rotation_sweeps": rotation.sweeps,
     }
 
 
@@ -261,19 +267,17 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
     corr = correlation_matrix(filtered)
     method, fixed_k = parse_factor_spec(config.factors)
-    eigenvalues, _ = eigendecompose(corr)
+    eigenvalues = eigendecompose(corr)
     k = select_factor_count(eigenvalues, method=method, k=fixed_k)
     model = extract_uls(corr, k)
     rotation = varimax_rotate(model.loadings)
     _LOG.info("efa: %s", _solver_summary(model, rotation))
-    model.rotation = rotation.rotation
-    model.rotated = rotation.loadings
-    table = prune_loadings(model, config.threshold, corr.terms)
+    table = prune_loadings(rotation.loadings, config.threshold, corr.terms)
     refined = refine_factors(table, config.retain)
 
-    _write_json(config.out / "model.json", model_payload(model, corr.terms, rotation.sweeps))
+    _write_json(config.out / "model.json", model_payload(model, eigenvalues, rotation, corr.terms))
     _write_json(config.out / "loading_table.json", table_payload(refined))
-    write_loadings_csv(model, corr.terms, refined, config.out / "loadings.csv")
+    write_loadings_csv(rotation.loadings, corr.terms, refined, config.out / "loadings.csv")
     return {"factors_extracted": model.k, "factors_retained": len(refined.factors)}
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .efa import FactorModel, LoadingTable
+from .efa import LoadingTable
 from .errors import ValidationError
 from .matrix import DocTermMatrix
 
@@ -162,25 +162,26 @@ def emit_report(report: FactorReport, md_path: str | Path, json_path: str | Path
 
 
 def write_loadings_csv(
-    model: FactorModel,
+    rotated: np.ndarray,
     terms: tuple[str, ...],
     table: LoadingTable,
     path: str | Path,
 ) -> None:
-    """Full rotated loading matrix as CSV with a retained flag.
+    """The full p x k rotated loading matrix (``VarimaxResult.loadings``)
+    as CSV, one row per factor and term, with a retained flag.
 
     A row is retained when its factor survived refinement and its term
     survived the pruning threshold for that factor.
     """
-    if len(terms) != model.rotated.shape[0]:
-        raise ValidationError(f"{len(terms)} terms for {model.rotated.shape[0]} loading rows")
+    if len(terms) != rotated.shape[0]:
+        raise ValidationError(f"{len(terms)} terms for {rotated.shape[0]} loading rows")
     retained = {
         (factor.factor, term) for factor in table.factors for term, _ in factor.entries
     }
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["factor", "term", "loading", "retained"])
-        for j in range(model.k):
+        for j in range(rotated.shape[1]):
             for i, term in enumerate(terms):
                 flag = "true" if (j + 1, term) in retained else "false"
-                writer.writerow([j + 1, term, float(model.rotated[i, j]), flag])
+                writer.writerow([j + 1, term, float(rotated[i, j]), flag])

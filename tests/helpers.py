@@ -259,6 +259,25 @@ def reference_varimax_rotate(
     )
 
 
+def reference_eigendecompose(corr) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and matching eigenvector columns from a
+    full ``eigh``: the spectrum the factor count was once taken from."""
+    eigenvalues, eigenvectors = np.linalg.eigh(corr.values)
+    order = np.argsort(eigenvalues)[::-1]
+    return eigenvalues[order], eigenvectors[:, order]
+
+
+def reference_anchor_signs(loadings: np.ndarray) -> np.ndarray:
+    """Copy of ``loadings`` with each column negated when its first
+    largest-magnitude entry is negative, one column at a time."""
+    signed = np.array(loadings, dtype=np.float64)
+    for j in range(signed.shape[1]):
+        anchor = int(np.argmax(np.abs(signed[:, j])))
+        if signed[anchor, j] < 0:
+            signed[:, j] = -signed[:, j]
+    return signed
+
+
 def random_binary(rng: np.random.Generator, n_docs: int, n_terms: int, density: float = 0.3) -> np.ndarray:
     """Random binary matrix where every column contains a 0 and a 1."""
     dense = (rng.random((n_docs, n_terms)) < density).astype(np.float64)

@@ -351,9 +351,8 @@ def test_criterion_6_production_parameters(capsys, lexicon_dir, tmp_path):
             threshold=0.3,
         )
         rotated = np.array([[0.65], [0.41], [0.12]])
-        from test_efa import model_with_rotated
 
-        pruned = prune_loadings(model_with_rotated(rotated), 0.3, ("suite", "ticket", "noise"))
+        pruned = prune_loadings(rotated, 0.3, ("suite", "ticket", "noise"))
         assert pruned.factors[0].entries == reference.factors[0].entries
         assert [term for term, _ in pruned.factors[0].entries] == ["suite", "ticket"]
 

@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import from_dense, random_binary, reference_varimax_rotate, textbook_phi
+from helpers import (
+    from_dense,
+    random_binary,
+    reference_anchor_signs,
+    reference_eigendecompose,
+    reference_varimax_rotate,
+    textbook_phi,
+)
 from lexifactor import (
     CorrelationMatrix,
     DegenerateColumnError,
     FactorLoadings,
-    FactorModel,
-    LoadingTable,
+        LoadingTable,
     ValidationError,
     correlation_matrix,
     eigendecompose,
@@ -21,7 +27,7 @@ from lexifactor import (
     varimax_criterion,
     varimax_rotate,
 )
-from lexifactor.efa import _pair_levels, uls_objective
+from lexifactor.efa import _anchor_signs, _pair_levels, uls_objective
 
 
 def corr_from(values) -> CorrelationMatrix:
@@ -71,17 +77,31 @@ class TestCorrelationMatrix:
 
 
 class TestEigendecompose:
-    def test_reconstruction_and_order(self):
+    def test_descending_eigvalsh_spectrum(self):
         rng = np.random.default_rng(8)
-        dense = random_binary(rng, 50, 8)
-        corr = correlation_matrix(from_dense(dense))
-        eigenvalues, eigenvectors = eigendecompose(corr)
-        assert np.all(np.diff(eigenvalues) <= 1e-12)
-        reconstructed = eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T
-        np.testing.assert_allclose(reconstructed, corr.values, atol=1e-10)
-        np.testing.assert_allclose(
-            eigenvectors.T @ eigenvectors, np.eye(8), atol=1e-10
-        )
+        corr = correlation_matrix(from_dense(random_binary(rng, 50, 8)))
+        eigenvalues = eigendecompose(corr)
+        assert np.all(np.diff(eigenvalues) <= 0.0)
+        expected = np.sort(np.linalg.eigvalsh(corr.values))[::-1]
+        assert eigenvalues.tobytes() == expected.tobytes()
+
+    def test_full_spectrum_sums_to_p(self):
+        eigenvalues = eigendecompose(one_factor_corr([0.8, 0.7, 0.6]))
+        assert len(eigenvalues) == 3
+        assert np.sum(eigenvalues) == pytest.approx(3.0, abs=1e-12)
+
+    def test_kaiser_count_matches_eigh_reference(self):
+        """The eigenvalue-only spectrum picks the same Kaiser count as
+        the eigenvalues of a full eigh with eigenvectors."""
+        rng = np.random.default_rng(88)
+        for _ in range(60):
+            n, p = int(rng.integers(20, 200)), int(rng.integers(3, 60))
+            dense = random_binary(rng, n, p, density=float(rng.uniform(0.05, 0.5)))
+            corr = correlation_matrix(from_dense(dense))
+            reference, _ = reference_eigendecompose(corr)
+            ours = eigendecompose(corr)
+            np.testing.assert_allclose(ours, reference, atol=1e-10)
+            assert select_factor_count(ours) == select_factor_count(reference)
 
 
 class TestSelectFactorCount:
@@ -127,17 +147,13 @@ class TestExtractUls:
         )
         assert not model.heywood
 
-    def test_initial_state_of_rotation_fields(self):
-        model = extract_uls(one_factor_corr([0.8, 0.7, 0.6]), 1)
-        assert np.array_equal(model.rotation, np.eye(1))
-        assert np.array_equal(model.rotated, model.loadings)
-
-    def test_eigenvalues_are_full_input_spectrum(self):
-        corr = one_factor_corr([0.8, 0.7, 0.6])
-        model = extract_uls(corr, 1)
-        expected = np.sort(np.linalg.eigvalsh(corr.values))[::-1]
-        np.testing.assert_allclose(model.eigenvalues, expected, atol=1e-12)
-        assert len(model.eigenvalues) == 3
+    def test_rotation_lives_in_varimax_result(self):
+        model = extract_uls(one_factor_corr([0.8, 0.7, 0.6, 0.5]), 2)
+        assert not {"eigenvalues", "rotation", "rotated"} & set(vars(model))
+        before = model.loadings.copy()
+        result = varimax_rotate(model.loadings)
+        assert model.loadings.tobytes() == before.tobytes()
+        assert np.array_equal(result.loadings, model.loadings @ result.rotation)
 
     def test_sign_convention(self):
         model = extract_uls(one_factor_corr([0.8, 0.7, 0.6]), 1)
@@ -342,6 +358,23 @@ def varimax_cases(draw):
     return loadings, draw(st.booleans()), draw(st.integers(1, 40))
 
 
+class TestAnchorSigns:
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(1, 6)),
+            elements=st.one_of(st.sampled_from([0.5, -0.5, 0.25, -0.25]), _TINY, st.floats(-1.0, 1.0)),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_column_loop(self, loadings):
+        signed = loadings * _anchor_signs(loadings)
+        assert signed.tobytes() == reference_anchor_signs(loadings).tobytes()
+
+    def test_first_maximum_wins_a_tie(self):
+        assert _anchor_signs(np.array([[0.5, -0.5], [-0.5, 0.5]])).tolist() == [1.0, -1.0]
+
+
 def assert_same_rotation(result, reference):
     assert result.sweeps == reference.sweeps
     assert result.criterion_history == reference.criterion_history
@@ -397,55 +430,36 @@ class TestVarimaxMatchesSequentialReference:
                     assert level_of[earlier] < level_of[pair]
 
 
-def model_with_rotated(rotated: np.ndarray) -> FactorModel:
-    rotated = np.asarray(rotated, dtype=np.float64)
-    p, k = rotated.shape
-    return FactorModel(
-        k=k,
-        loadings=rotated.copy(),
-        communalities=(rotated**2).sum(axis=1),
-        uniquenesses=1.0 - (rotated**2).sum(axis=1),
-        eigenvalues=np.ones(p),
-        rotation=np.eye(k),
-        rotated=rotated,
-        converged=True,
-        n_iter=1,
-        heywood=False,
-    )
-
-
 class TestPruneLoadings:
     def test_threshold_and_order(self):
-        model = model_with_rotated(
-            np.array([[0.65, 0.05], [0.41, 0.10], [0.12, 0.55]])
-        )
-        table = prune_loadings(model, 0.3, ("suite", "ticket", "noise"))
+        rotated = np.array([[0.65, 0.05], [0.41, 0.10], [0.12, 0.55]])
+        table = prune_loadings(rotated, 0.3, ("suite", "ticket", "noise"))
         assert table.factors[0].entries == (("suite", 0.65), ("ticket", 0.41))
         assert table.factors[1].entries == (("noise", 0.55),)
         assert table.threshold == 0.3
 
     def test_threshold_inclusive_and_absolute(self):
-        model = model_with_rotated(np.array([[0.3], [-0.5], [0.29]]))
-        table = prune_loadings(model, 0.3, ("a", "b", "c"))
+        rotated = np.array([[0.3], [-0.5], [0.29]])
+        table = prune_loadings(rotated, 0.3, ("a", "b", "c"))
         assert table.factors[0].entries == (("b", -0.5), ("a", 0.3))
 
     def test_tie_broken_alphabetically(self):
-        model = model_with_rotated(np.array([[0.4], [0.4]]))
-        table = prune_loadings(model, 0.3, ("zeta", "alpha"))
+        rotated = np.array([[0.4], [0.4]])
+        table = prune_loadings(rotated, 0.3, ("zeta", "alpha"))
         assert [term for term, _ in table.factors[0].entries] == ["alpha", "zeta"]
 
     def test_empty_factor_allowed(self):
-        model = model_with_rotated(np.array([[0.1], [0.2]]))
-        table = prune_loadings(model, 0.3, ("a", "b"))
+        rotated = np.array([[0.1], [0.2]])
+        table = prune_loadings(rotated, 0.3, ("a", "b"))
         assert table.factors[0].entries == ()
         assert table.factors[0].top_value == -1.0
 
     def test_validations(self):
-        model = model_with_rotated(np.array([[0.4], [0.4]]))
+        rotated = np.array([[0.4], [0.4]])
         with pytest.raises(ValidationError):
-            prune_loadings(model, -0.1, ("a", "b"))
+            prune_loadings(rotated, -0.1, ("a", "b"))
         with pytest.raises(ValidationError):
-            prune_loadings(model, 0.3, ("a",))
+            prune_loadings(rotated, 0.3, ("a",))
 
 
 class TestRefineFactors:

@@ -1,7 +1,10 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifactor import (
@@ -13,6 +16,7 @@ from lexifactor import (
     load_reviews,
     tokenize,
 )
+from lexifactor.cli import main
 
 
 class TestTokenize:
@@ -161,3 +165,48 @@ def test_unknown_format_rejected(tmp_path):
     path.write_text("<reviews/>", encoding="utf-8")
     with pytest.raises(ValidationError, match="format"):
         load_reviews(path, "xml")
+
+
+# Any text a UTF-8 file can hold, with the characters that CSV quoting,
+# JSON escaping and line splitting treat specially drawn often.
+_FIELD = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from(list(',"\'\n\r\t\x00\x85\ufeff\u2028')),
+    ),
+    max_size=30,
+)
+
+
+class TestIngestRoundTrip:
+    @given(
+        records=st.lists(st.tuples(_FIELD, _FIELD, _FIELD), max_size=8, unique_by=lambda r: r[0]),
+        ensure_ascii=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_jsonl_and_csv_inputs_round_trip(self, records, ensure_ascii):
+        """``ingest`` of the same records as JSONL or CSV writes one
+        ``reviews.jsonl`` that loads back as those records, and ingesting
+        that file again writes the same bytes."""
+        reviews = [Review(id=i, source=source, text=text) for i, source, text in records]
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch)
+            lines = [
+                json.dumps({"id": r.id, "source": r.source, "text": r.text}, ensure_ascii=ensure_ascii)
+                for r in reviews
+            ]
+            (root / "in.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            with open(root / "in.csv", "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["id", "source", "text"])
+                writer.writerows(records)
+
+            written = []
+            for i, (source, fmt) in enumerate(
+                [(root / "in.jsonl", "jsonl"), (root / "in.csv", "csv"), (root / "out0" / "reviews.jsonl", "jsonl")]
+            ):
+                out = root / f"out{i}"
+                assert main(["ingest", "--input", str(source), "--format", fmt, "--output-dir", str(out)]) == 0
+                assert load_reviews(out / "reviews.jsonl", "jsonl") == reviews
+                written.append((out / "reviews.jsonl").read_bytes())
+            assert written[0] == written[1] == written[2]

@@ -19,7 +19,6 @@ from lexifactor import (
     render_markdown,
     write_loadings_csv,
 )
-from test_efa import model_with_rotated
 
 
 @pytest.fixture()
@@ -165,9 +164,8 @@ class TestEmitReport:
 class TestWriteLoadingsCsv:
     def test_rows_and_retained_flags(self, tmp_path, table):
         rotated = np.array([[0.65, 0.1], [0.41, 0.2], [-0.1, -0.52]])
-        model = model_with_rotated(rotated)
         path = tmp_path / "loadings.csv"
-        write_loadings_csv(model, ("suite", "ticket", "noise"), table, path)
+        write_loadings_csv(rotated, ("suite", "ticket", "noise"), table, path)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["factor", "term", "loading", "retained"]
@@ -177,6 +175,5 @@ class TestWriteLoadingsCsv:
         assert rows[6] == ["2", "noise", "-0.52", "true"]
 
     def test_term_count_validated(self, tmp_path, table):
-        model = model_with_rotated(np.array([[0.5, 0.5]]))
         with pytest.raises(ValidationError):
-            write_loadings_csv(model, ("a", "b"), table, tmp_path / "x.csv")
+            write_loadings_csv(np.array([[0.5, 0.5]]), ("a", "b"), table, tmp_path / "x.csv")
