@@ -16,7 +16,7 @@ from lexifactor import (
     CorrelationMatrix,
     DegenerateColumnError,
     FactorLoadings,
-        LoadingTable,
+    LoadingTable,
     ValidationError,
     correlation_matrix,
     eigendecompose,
