@@ -42,6 +42,7 @@ from .errors import (
 from .ingest import Review, Token, load_reviews, tokenize
 from .lexicon import (
     Lexicon,
+    ReviewLemmas,
     SenseId,
     TermDictionary,
     TermProvenance,
@@ -107,6 +108,7 @@ __all__ = [
     "load_reviews",
     "tokenize",
     "Lexicon",
+    "ReviewLemmas",
     "SenseId",
     "TermDictionary",
     "TermProvenance",

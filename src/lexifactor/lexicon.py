@@ -6,10 +6,14 @@ a ``data.<pos>`` file holding the synsets themselves (with their pointer
 lists, where the ``!`` symbol marks antonymy), and a ``<pos>.exc`` file
 of irregular inflections. Only nouns and adjectives participate.
 
-Each distinct token of a corpus is lemmatized once per run. The
-dictionary pass records every token's lemma in a token→lemma map
-(stopwords included), and the matrix stage reads that map instead of
-the lexicon, so one in-process run parses the database once.
+One lexical pass, :meth:`ReviewLemmas.read`, tokenizes each review once
+and lemmatizes each distinct token once. It keeps each review's distinct
+lemmas as CSR arrays of lemma ids: those of all its tokens, stopwords
+included, for the document-term matrix, and the document frequency of
+lemmas reached from non-stopword tokens, for the dictionary. Within one
+``pipeline`` run the dictionary pass hands these arrays to the matrix
+stage, so the run tokenizes the corpus once and parses the database
+once.
 
 Dictionary construction is a greedy pass over candidate lemmas ranked
 by document frequency: a candidate is admitted unless it shares a sense
@@ -20,11 +24,13 @@ antonym-paired with an admitted sense.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import EmptyDictionaryError, ParseError, ValidationError
 from .ingest import Review, Token, tokenize
@@ -127,6 +133,31 @@ class TermDictionary:
                 for term in self.terms
             ]
         }
+
+    def to_json_text(self) -> str:
+        """``dictionary.json``: the text that ``json.dump`` writes for
+        :meth:`to_json_dict` with ``indent=2, sort_keys=True,
+        ensure_ascii=False``, plus a newline, built from one template per
+        term instead of through the pure-Python encoder."""
+        records = []
+        for term in self.terms:
+            entry = self.provenance[term]
+            senses = ",\n".join(
+                [
+                    f"        [\n          {encode_basestring(pos)},\n          {offset}\n        ]"
+                    for pos, offset in entry.sense_ids
+                ]
+            )
+            senses = f"[\n{senses}\n      ]" if senses else "[]"
+            records.append(
+                f'    {{\n      "doc_freq": {entry.doc_freq},\n'
+                f'      "pos": {encode_basestring(entry.pos)},\n'
+                f'      "sense_ids": {senses},\n'
+                f'      "term": {encode_basestring(term)}\n    }}'
+            )
+        if not records:
+            return '{\n  "terms": []\n}\n'
+        return '{\n  "terms": [\n' + ",\n".join(records) + "\n  ]\n}\n"
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TermDictionary":
@@ -331,31 +362,67 @@ def lemmatize_token(lexicon: Lexicon, token: Token) -> str | None:
     return lemma
 
 
-def _map_new_tokens(
-    tokens: Iterable[Token], lexicon: Lexicon, lemmas: dict[Token, str | None]
-) -> None:
-    for token in tokens:
-        if token not in lemmas:
-            lemmas[token] = lemmatize_token(lexicon, token)
+@dataclass
+class ReviewLemmas:
+    """Each review's distinct lemmas, from one lexical pass, as CSR arrays.
 
-
-def lemma_map(reviews: Iterable[Review], lexicon: Lexicon) -> dict[Token, str | None]:
-    """Map every distinct token of ``reviews`` to its lemma, or ``None``.
-
-    Works review by review on the set of its tokens and lemmatizes each
-    token once. Stopwords are mapped like any other token.
+    The ``r``-th review read holds the lemmas ``vocabulary[i]`` for ``i``
+    in ``ids[indptr[r]:indptr[r + 1]]``: the lemma of every token it
+    contains, stopwords included, because a stopword token still marks
+    its lemma's matrix column.
+    ``doc_freq[i]`` counts the reviews in which some non-stopword token
+    has the lemma ``vocabulary[i]``. A new instance holds no reviews;
+    :meth:`read` fills it.
     """
-    lemmas: dict[Token, str | None] = {}
-    for review in reviews:
-        _map_new_tokens(set(tokenize(review.text)), lexicon, lemmas)
-    return lemmas
+
+    vocabulary: tuple[str, ...] = ()
+    indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    doc_freq: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def read(
+        self,
+        reviews: Iterable[Review],
+        lexicon: Lexicon,
+        stopwords: frozenset[str] = frozenset(),
+    ) -> "ReviewLemmas":
+        """Replace the contents with those of ``reviews`` and return self.
+
+        Each review is tokenized once and each distinct token lemmatized
+        once, through a token→lemma-id map that ends with the pass.
+        """
+        lemma_of: dict[Token, int] = {}  # -1: the token has no lemma
+        vocabulary: dict[str, int] = {}
+        indptr = [0]
+        ids: list[int] = []
+        counted: list[int] = []
+        for review in reviews:
+            tokens = set(tokenize(review.text))
+            for token in tokens.difference(lemma_of):
+                lemma = lemmatize_token(lexicon, token)
+                if lemma is None:
+                    lemma_of[token] = -1
+                else:
+                    lemma_of[token] = vocabulary.setdefault(lemma, len(vocabulary))
+            kept = set(map(lemma_of.__getitem__, tokens - stopwords))
+            found = kept.union(map(lemma_of.__getitem__, tokens & stopwords))
+            kept.discard(-1)
+            found.discard(-1)
+            counted.extend(kept)
+            ids.extend(found)
+            indptr.append(len(ids))
+        self.vocabulary = tuple(vocabulary)
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.ids = np.array(ids, dtype=np.int64)
+        self.doc_freq = np.bincount(np.array(counted, dtype=np.int64), minlength=len(vocabulary))
+        return self
 
 
 def build_dictionary(
     reviews: Iterable[Review],
     lexicon: Lexicon,
     stopwords: frozenset[str],
-    lemmas: dict[Token, str | None] | None = None,
+    lemmas: ReviewLemmas | None = None,
 ) -> TermDictionary:
     """Greedily admit candidate lemmas into the term dictionary.
 
@@ -367,22 +434,16 @@ def build_dictionary(
     already claimed (synonym of an admitted term) or is antonym-paired
     with a claimed sense.
 
-    ``lemmas`` is a token→lemma map that this pass fills as it goes,
-    lemmatizing only tokens not in it yet. Afterwards it holds every
-    token of ``reviews``, stopwords included, as :func:`lemma_map`
-    would, ready for :func:`lexifactor.matrix.build_matrix`.
+    The lexical pass over ``reviews`` fills ``lemmas`` (see
+    :meth:`ReviewLemmas.read`), ready for
+    :func:`lexifactor.matrix.build_matrix`, so that a caller building
+    the matrix next neither tokenizes nor lemmatizes again.
     """
-    if lemmas is None:
-        lemmas = {}
-    doc_freq: Counter[str] = Counter()
-    for review in reviews:
-        tokens = set(tokenize(review.text))
-        _map_new_tokens(tokens, lexicon, lemmas)
-        found = {lemmas[token] for token in tokens - stopwords}
-        found.discard(None)
-        doc_freq.update(found)
-
-    ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
+    lemmas = (ReviewLemmas() if lemmas is None else lemmas).read(reviews, lexicon, stopwords)
+    doc_freq = zip(lemmas.vocabulary, lemmas.doc_freq.tolist())
+    ranked = sorted(
+        ((lemma, freq) for lemma, freq in doc_freq if freq), key=lambda item: (-item[1], item[0])
+    )
     antonym_index = lexicon.antonym_index()
 
     claimed: set[SenseId] = set()

@@ -2,26 +2,28 @@
 
 The matrix is binary and sparse: row ``d`` column ``t`` is 1 exactly
 when some token of document ``d`` lemmatizes to dictionary term ``t``.
-Tokens reach their lemmas through the run's token→lemma map, the one
-the dictionary pass filled (see :mod:`lexifactor.lexicon`).
-It is stored in compressed sparse row (CSR) form: the columns of row
-``d`` are ``indices[indptr[d]:indptr[d + 1]]``, ascending and unique.
-Every consumer works on those two arrays directly.
+It is built from the per-review lemma ids of the lexical pass
+(:class:`lexifactor.lexicon.ReviewLemmas`) that the dictionary pass
+fills, so building it needs no second pass over the text. It is stored
+in compressed sparse row (CSR) form: the columns of row ``d`` are
+``indices[indptr[d]:indptr[d + 1]]``, ascending and unique. Every
+consumer works on those two arrays directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyMatrixError, ValidationError
-from .ingest import Review, Token, tokenize
+from .ingest import Review
 
-# lemmatize_token is not called here; it stays importable from this
-# module because bench/traced.py counts lemmatizer calls through it.
-from .lexicon import Lexicon, TermDictionary, lemma_map, lemmatize_token  # noqa: F401
+# tokenize and lemmatize_token are not called here; they stay importable
+# from this module because bench/traced.py counts their calls through it.
+from .ingest import tokenize  # noqa: F401
+from .lexicon import Lexicon, ReviewLemmas, TermDictionary, lemmatize_token  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -75,35 +77,38 @@ class ColumnStats(NamedTuple):
 def build_matrix(
     reviews: Sequence[Review],
     dictionary: TermDictionary,
-    lemmas: Mapping[Token, str | None] | Lexicon,
+    lemmas: ReviewLemmas | Lexicon,
 ) -> DocTermMatrix:
-    """Map each review onto the dictionary columns it mentions.
+    """Map each review onto the dictionary columns its lemmas name.
 
-    ``lemmas`` is the token→lemma map that
-    :func:`lexifactor.lexicon.build_dictionary` filled over the same
-    reviews; it must hold every token. Given a :class:`Lexicon` instead,
-    the map is first built with :func:`lexifactor.lexicon.lemma_map`.
-    Stopwords are not removed here: a stopword token whose lemma is a
-    term sets that term's column, although the dictionary did not count
-    it toward the term's document frequency.
+    ``lemmas`` is the lexical pass over ``reviews`` that
+    :func:`lexifactor.lexicon.build_dictionary` filled, so the matrix is
+    built without tokenizing. Given a :class:`Lexicon` instead, this
+    runs that pass itself (:meth:`ReviewLemmas.read`). Stopwords are not
+    removed here: a stopword token whose lemma is a term sets that
+    term's column, although the dictionary did not count it toward the
+    term's document frequency.
     """
     if isinstance(lemmas, Lexicon):
-        lemmas = lemma_map(reviews, lemmas)
-    index = dictionary.index
-    doc_ids: list[str] = []
-    indptr = [0]
-    indices: list[int] = []
-    for review in reviews:
-        columns = {index.get(lemmas[token]) for token in set(tokenize(review.text))}
-        columns.discard(None)
-        indices.extend(sorted(columns))
-        indptr.append(len(indices))
-        doc_ids.append(review.id)
+        lemmas = ReviewLemmas().read(reviews, lemmas)
+    n_docs, n_terms = len(reviews), len(dictionary)
+    if len(lemmas.indptr) != n_docs + 1:
+        raise ValidationError(f"lemmas of {len(lemmas.indptr) - 1} reviews for {n_docs} reviews")
+    # The column of each lemma id, -1 for a lemma that is no term.
+    column_of = np.array(
+        [dictionary.index.get(lemma, -1) for lemma in lemmas.vocabulary], dtype=np.int64
+    )
+    columns = column_of[lemmas.ids]
+    rows = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(lemmas.indptr))
+    hit = columns >= 0
+    # Distinct lemmas of a review name distinct terms, so the keys are unique.
+    keys = np.sort(rows[hit] * n_terms + columns[hit])
+    rows, indices = np.divmod(keys, max(n_terms, 1))
     return DocTermMatrix(
-        doc_ids=tuple(doc_ids),
+        doc_ids=tuple(review.id for review in reviews),
         terms=dictionary.terms,
-        indptr=np.array(indptr, dtype=np.int64),
-        indices=np.array(indices, dtype=np.int64),
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_docs)))),
+        indices=indices,
     )
 
 

@@ -21,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ParseError
 from .matrix import DocTermMatrix
 
@@ -47,15 +48,15 @@ def docs_sidecar(mtx_path: str | Path) -> Path:
 
 
 def write_matrix_market(matrix: DocTermMatrix, mtx_path: str | Path) -> None:
-    """Write the matrix and both sidecars next to ``mtx_path``."""
+    """Write the matrix and both sidecars next to ``mtx_path``, each file
+    crash-safely (see :mod:`lexifactor.atomic`)."""
     mtx_path = Path(mtx_path)
-    bounds = matrix.indptr.tolist()
-    with open(mtx_path, "w", encoding="utf-8", newline="") as handle:
+    # 1-based (row, column) pairs, interleaved, for one format call.
+    pairs = np.column_stack((matrix.row_of_entry() + 1, matrix.indices + 1)).ravel().tolist()
+    with atomic_open(mtx_path) as handle:
         handle.write(_HEADER + "\n")
         handle.write(f"{matrix.n_docs} {matrix.n_terms} {matrix.nnz()}\n")
-        for row, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=1):
-            columns = (matrix.indices[start:stop] + 1).tolist()
-            handle.writelines(f"{row} {column}\n" for column in columns)
+        handle.write("%d %d\n" * matrix.nnz() % tuple(pairs))
     _write_lines(terms_sidecar(mtx_path), matrix.terms)
     _write_lines(docs_sidecar(mtx_path), matrix.doc_ids)
 
@@ -211,7 +212,7 @@ def _decimal(index: bytes) -> str:
 
 
 def _write_lines(path: Path, lines: tuple[str, ...]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         handle.writelines(line + "\n" for line in lines)
 
 

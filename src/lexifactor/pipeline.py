@@ -1,14 +1,17 @@
 """Pipeline stages, artifact persistence, and the run manifest.
 
-Each stage reads its inputs from the output directory (or from the
-configured input files) and writes its artifacts back there, so the
-full pipeline is literally the five stages run in order. Within one
-``pipeline`` command the only thing handed between stages in memory is
-the dict stage's token→lemma map, which spares the matrix stage a second
-lexicon parse; a stage run on its own rebuilds it. The manifest
-records, per stage, artifact checksums and basic counts plus the config
-snapshot; timestamps, thread counts, and directory locations stay out
-so that reruns yield byte-identical artifacts.
+Each stage writes its artifacts to the output directory, so the full
+pipeline is the five stages run in order. A stage run on its own reads
+its inputs from there (or from the configured input files). Within one
+``pipeline`` command the stages also hand each other their inputs in
+memory (see :class:`Handoff`): the ingested reviews, the term
+dictionary and the dict stage's per-review lemmas. The run then reads
+the corpus once, tokenizes it once and reads no artifact back, and
+writes the same bytes as the stages run one by one. Every artifact is
+encoded once and written crash-safely. The manifest records, per stage,
+artifact checksums and basic counts plus the config snapshot;
+timestamps, thread counts, and directory locations stay out so that
+reruns yield byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open, write_text
 from .config import PipelineConfig, parse_factor_spec
 from .efa import (
     VARIMAX_MAX_SWEEPS,
@@ -42,8 +47,14 @@ from .efa import (
     varimax_rotate,
 )
 from .errors import DependencyError, ParseError, StageError, ValidationError
-from .ingest import Token, load_reviews
-from .lexicon import TermDictionary, build_dictionary, load_stopwords, parse_lexical_database
+from .ingest import Review, load_reviews
+from .lexicon import (
+    ReviewLemmas,
+    TermDictionary,
+    build_dictionary,
+    load_stopwords,
+    parse_lexical_database,
+)
 from .matrix import build_matrix, column_stats, filter_low_variance
 from .mmio import read_matrix_market, read_matrix_size, write_matrix_market
 from .report import (
@@ -98,9 +109,8 @@ def _require_input(path: str | None, what: str) -> Path:
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False)
-        handle.write("\n")
+    """``payload`` as indented JSON with sorted keys, crash-safely."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _read_json(path: Path) -> Any:
@@ -121,18 +131,49 @@ def _sha256(path: Path) -> str:
 
 @contextmanager
 def _run_lock(out: Path) -> Iterator[None]:
-    """Advisory lock: refuse to run while another process holds the dir."""
+    """Advisory lock: refuse to run while another live process holds the dir.
+
+    The lock file records its holder's pid. A lock left by a holder that
+    has exited, say a killed run, is taken over. Two runs that find the
+    same stale lock at the same moment may both take it: the lock guards
+    against a forgotten run, not against racing starts.
+    """
     lock_path = out / LOCK_NAME
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StageError(f"lock file exists (another run in progress?): {lock_path}") from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(lock_path):
+                raise StageError(f"lock file exists (another run in progress?): {lock_path}") from None
+            _LOG.warning("taking over a lock whose holder has exited: %s", lock_path)
+            lock_path.unlink(missing_ok=True)
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
         yield
     finally:
         lock_path.unlink(missing_ok=True)
+
+
+def _lock_is_stale(lock_path: Path) -> bool:
+    """Whether the process a lock file names has exited. A lock whose pid
+    cannot be read counts as held: its holder may not have written it yet."""
+    try:
+        pid = int(lock_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return True  # released since the caller found it
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:  # os.kill would signal a process group
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass  # a process of another user, or no pid at all: leave it be
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +199,52 @@ def model_payload(
         "heywood": model.heywood,
         "rotation_sweeps": rotation.sweeps,
     }
+
+
+_MODEL_VECTORS = ("communalities", "eigenvalues", "uniquenesses")
+_MODEL_MATRICES = ("loadings", "rotated", "rotation")
+
+
+def model_json(payload: dict) -> str:
+    """The text of ``model.json`` for a :func:`model_payload` payload:
+    what ``json.dump`` writes with ``indent=2, sort_keys=True,
+    ensure_ascii=False``, plus a newline. The float vectors and matrices
+    are joined row by row instead of going through the pure-Python
+    encoder; every other value is small and goes through ``json``."""
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if key in _MODEL_MATRICES:
+            text = _float_rows(value, "  ")
+        elif key in _MODEL_VECTORS:
+            text = _float_list(value, "  ")
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+            text = text.replace("\n", "\n  ")
+        fields.append(f"  {encode_basestring(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _float_list(values: list[float], indent: str) -> str:
+    """A list of floats as ``json.dumps(indent=2)`` writes it at ``indent``."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    text = (",\n" + inner).join(map(float.__repr__, values))
+    # Only the reprs nan, inf and -inf hold an "n"; json spells them
+    # NaN, Infinity and -Infinity.
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return f"[\n{inner}{text}\n{indent}]"
+
+
+def _float_rows(rows: list[list[float]], indent: str) -> str:
+    """A list of float lists as ``json.dumps(indent=2)`` writes it at ``indent``."""
+    if not rows:
+        return "[]"
+    inner = indent + "  "
+    text = (",\n" + inner).join([_float_list(row, inner) for row in rows])
+    return f"[\n{inner}{text}\n{indent}]"
 
 
 def table_payload(table: LoadingTable) -> dict:
@@ -190,26 +277,30 @@ def table_from_payload(payload: dict) -> LoadingTable:
 
 @dataclass
 class Handoff:
-    """State one run hands from stage to stage besides its artifacts.
+    """What one run hands from stage to stage in memory, next to the artifacts.
 
-    ``lemmas`` is the token→lemma map the dict stage filled; the matrix
-    stage uses it in place of the lexicon and clears it. Nothing here
-    reaches an artifact.
+    ``reviews`` go from ingest to dict and matrix; ``dictionary`` and
+    ``lemmas``, the dict stage's lexical pass, go from dict to matrix.
+    The matrix stage clears them all, so none outlives the matrix
+    stage. They equal what a stage would read back from the artifacts,
+    and a stage with nothing handed to it reads those instead.
     """
 
-    lemmas: dict[Token, str | None] | None = None
+    reviews: list[Review] | None = None
+    dictionary: TermDictionary | None = None
+    lemmas: ReviewLemmas | None = None
 
 
 def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
     """Load the input corpus, validate it, and normalize to JSON Lines."""
     source = _require_input(config.input, "input")
     reviews = load_reviews(source, config.format)
-    out_path = config.out / "reviews.jsonl"
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(config.out / "reviews.jsonl") as handle:
         for review in reviews:
             record = {"id": review.id, "source": review.source, "text": review.text}
             handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
             handle.write("\n")
+    handoff.reviews = reviews
     return {"reviews": len(reviews)}
 
 
@@ -220,25 +311,27 @@ def _load_lexicon(config: PipelineConfig):
 
 def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the term dictionary from the normalized reviews."""
-    reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
+    reviews = handoff.reviews
+    if reviews is None:
+        reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
     lexicon = _load_lexicon(config)
-    stopwords = load_stopwords(config.stopwords)
-    # Only the map outlives this stage: keeping the parsed lexicon alive
-    # as well would raise the run's peak memory.
-    handoff.lemmas = {}
-    dictionary = build_dictionary(reviews, lexicon, stopwords, handoff.lemmas)
-    _write_json(config.out / "dictionary.json", dictionary.to_json_dict())
+    lemmas = ReviewLemmas()
+    dictionary = build_dictionary(reviews, lexicon, load_stopwords(config.stopwords), lemmas)
+    del lexicon  # released before encoding, to keep the run's peak memory down
+    write_text(config.out / "dictionary.json", dictionary.to_json_text())
+    handoff.reviews, handoff.dictionary, handoff.lemmas = reviews, dictionary, lemmas
     return {"terms": len(dictionary)}
 
 
 def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the document-term matrix and its low-variance filtered view."""
-    reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
-    dictionary = TermDictionary.from_json_dict(
-        _read_json(_require_artifact(config.out / "dictionary.json"))
-    )
-    lemmas = handoff.lemmas
-    handoff.lemmas = None  # freed when this stage ends, before the EFA stage
+    reviews, dictionary, lemmas = handoff.reviews, handoff.dictionary, handoff.lemmas
+    handoff.reviews = handoff.dictionary = handoff.lemmas = None  # freed when this stage ends
+    if lemmas is None:
+        reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
+        dictionary = TermDictionary.from_json_dict(
+            _read_json(_require_artifact(config.out / "dictionary.json"))
+        )
     matrix = build_matrix(reviews, dictionary, _load_lexicon(config) if lemmas is None else lemmas)
     write_matrix_market(matrix, config.out / "matrix.mtx")
 
@@ -275,7 +368,8 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     table = prune_loadings(rotation.loadings, config.threshold, corr.terms)
     refined = refine_factors(table, config.retain)
 
-    _write_json(config.out / "model.json", model_payload(model, eigenvalues, rotation, corr.terms))
+    payload = model_payload(model, eigenvalues, rotation, corr.terms)
+    write_text(config.out / "model.json", model_json(payload))
     _write_json(config.out / "loading_table.json", table_payload(refined))
     write_loadings_csv(rotation.loadings, corr.terms, refined, config.out / "loadings.csv")
     return {"factors_extracted": model.k, "factors_retained": len(refined.factors)}

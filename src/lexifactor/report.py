@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .atomic import atomic_open, write_text
 from .efa import LoadingTable
 from .errors import ValidationError
 from .matrix import DocTermMatrix
@@ -154,11 +155,10 @@ def report_payload(report: FactorReport) -> dict:
 
 
 def emit_report(report: FactorReport, md_path: str | Path, json_path: str | Path) -> None:
-    """Write the markdown and JSON renderings of the report."""
-    Path(md_path).write_text(render_markdown(report), encoding="utf-8")
-    with open(json_path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(report_payload(report), handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    """Write the markdown and JSON renderings of the report, each
+    crash-safely (see :mod:`lexifactor.atomic`)."""
+    write_text(md_path, render_markdown(report))
+    write_text(json_path, json.dumps(report_payload(report), indent=2, ensure_ascii=False) + "\n")
 
 
 def write_loadings_csv(
@@ -171,14 +171,15 @@ def write_loadings_csv(
     as CSV, one row per factor and term, with a retained flag.
 
     A row is retained when its factor survived refinement and its term
-    survived the pruning threshold for that factor.
+    survived the pruning threshold for that factor. The file is written
+    crash-safely (see :mod:`lexifactor.atomic`).
     """
     if len(terms) != rotated.shape[0]:
         raise ValidationError(f"{len(terms)} terms for {rotated.shape[0]} loading rows")
     retained = {
         (factor.factor, term) for factor in table.factors for term, _ in factor.entries
     }
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["factor", "term", "loading", "retained"])
         for j in range(rotated.shape[1]):

@@ -230,7 +230,7 @@ class TestBuildDictionary:
 
     def test_stopwords_removed_before_lemmatization(self, lexicon):
         # with "glasses" stopped, its lemma is no candidate (the token is
-        # still lemmatized, for the token→lemma map the matrix reads)
+        # still lemmatized, for the lemma ids the matrix reads)
         reviews = _reviews(["glasses ticket"])
         dictionary = build_dictionary(reviews, lexicon, frozenset({"glasses"}))
         assert "glass" not in dictionary.terms

@@ -25,7 +25,7 @@ from lexifactor import (
     lemmatize_token,
     tokenize,
 )
-from lexifactor.lexicon import lemma_map
+from lexifactor.lexicon import ReviewLemmas
 from wordnet_fixture import expected_adj_lemmas, expected_noun_lemmas
 
 # Lemmas of the fixture lexicon, regular and irregular inflections of
@@ -79,13 +79,20 @@ class TestBuildMatrix:
             Review(id="a", source="g2", text="glasses ticket"),
             Review(id="b", source="g2", text="glass"),
         ]
-        lemmas = {}
+        lemmas = ReviewLemmas()
         dictionary = build_dictionary(reviews, lexicon, frozenset({"glasses"}), lemmas)
         assert dictionary.terms == ("glass", "ticket")
         assert dictionary.provenance["glass"].doc_freq == 1
-        assert lemmas["glasses"] == "glass"
+        assert lemma_sets(lemmas)[0] == {"glass", "ticket"}
         for source in (lemmas, lexicon):
             assert rows_of(build_matrix(reviews, dictionary, source)) == ((0, 1), (0,))
+
+
+    def test_lemmas_must_cover_the_reviews(self, lexicon, small_dictionary):
+        reviews = [Review(id="d1", source="g2", text="suite"), Review(id="d2", source="g2", text="")]
+        lemmas = ReviewLemmas().read(reviews, lexicon)
+        with pytest.raises(ValidationError):
+            build_matrix(reviews[:1], small_dictionary, lemmas)
 
 
 _review_text = st.lists(
@@ -96,9 +103,17 @@ _review_text = st.lists(
 ).map(lambda parts: "".join((w.upper() if up else w) + sep for w, sep, up in parts))
 
 
-class TestLemmaMapEquivalence:
-    """The token→lemma map gives the same dictionary and matrix as
-    lemmatizing every token occurrence."""
+def lemma_sets(lemmas: ReviewLemmas) -> list[set[str]]:
+    bounds = lemmas.indptr.tolist()
+    return [
+        {lemmas.vocabulary[i] for i in lemmas.ids[start:stop].tolist()}
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+
+
+class TestLexicalPassEquivalence:
+    """One lexical pass, which lemmatizes each distinct token once, gives
+    the same dictionary and matrix as lemmatizing every token occurrence."""
 
     @given(
         texts=st.lists(_review_text, min_size=1, max_size=8),
@@ -113,13 +128,17 @@ class TestLemmaMapEquivalence:
             with pytest.raises(EmptyDictionaryError):
                 build_dictionary(reviews, lexicon, stopwords)
             return
-        lemmas = {}
+        lemmas = ReviewLemmas()
         dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
         assert dictionary == expected
 
-        tokens = {token for review in reviews for token in tokenize(review.text)}
-        assert lemmas == {token: lemmatize_token(lexicon, token) for token in tokens}
-        assert lemma_map(reviews, lexicon) == lemmas
+        expected_sets = [
+            {lemmatize_token(lexicon, token) for token in tokenize(review.text)} - {None}
+            for review in reviews
+        ]
+        assert lemma_sets(lemmas) == expected_sets
+        assert [len(found) for found in expected_sets] == np.diff(lemmas.indptr).tolist()
+        assert lemma_sets(ReviewLemmas().read(reviews, lexicon)) == expected_sets
 
         reference = reference_build_matrix(reviews, expected, lexicon)
         assert build_matrix(reviews, dictionary, lemmas) == reference

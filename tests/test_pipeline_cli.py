@@ -1,5 +1,7 @@
+import csv
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from helpers import from_dense, random_binary
 from lexifactor import (
     StageError,
+    TermDictionary,
     build_config,
     cmd_pipeline,
     cmd_stage,
@@ -21,6 +24,7 @@ from lexifactor import (
 from lexifactor import lexicon as lexicon_module
 from lexifactor import matrix as matrix_module
 from lexifactor import pipeline as pipeline_module
+from lexifactor import report as report_module
 from lexifactor.cli import main
 from lexifactor.mmio import write_matrix_market
 
@@ -67,6 +71,30 @@ def run_pipeline(corpus, lexicon_dir, out, extra=()):
             *extra,
         ]
     )
+
+
+def stage_config(corpus, lexicon_dir, out):
+    return build_config(
+        overrides={
+            "input": str(corpus),
+            "lexicon_dir": str(lexicon_dir),
+            "output_dir": str(out),
+            "factors": "fixed:2",
+        }
+    )
+
+
+def count_tokenize_calls(monkeypatch) -> Counter:
+    """Count ``tokenize`` calls, by text, wherever the package calls it."""
+    calls = Counter()
+
+    def counted_tokenize(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    for module in (lexicon_module, matrix_module):
+        monkeypatch.setattr(module, "tokenize", counted_tokenize)
+    return calls
 
 
 def artifact_bytes(out):
@@ -228,6 +256,81 @@ class TestWorkCounts:
         tokens = {token for review in load_reviews(corpus) for token in tokenize(review.text)}
         assert lemmatized == Counter(dict.fromkeys(tokens, 1))
 
+    def test_pipeline_reads_the_corpus_once_and_tokenizes_each_review_once(
+        self, corpus, lexicon_dir, tmp_path, monkeypatch
+    ):
+        reviews = load_reviews(corpus)
+        loads = []
+
+        def counted_load(path, format="jsonl"):
+            loads.append(path)
+            return load_reviews(path, format)
+
+        def no_reload(cls, payload):
+            raise AssertionError("dictionary.json read back inside one run")
+
+        monkeypatch.setattr(pipeline_module, "load_reviews", counted_load)
+        monkeypatch.setattr(TermDictionary, "from_json_dict", classmethod(no_reload))
+        tokenized = count_tokenize_calls(monkeypatch)
+        assert run_pipeline(corpus, lexicon_dir, tmp_path / "out") == 0
+
+        assert loads == [corpus]
+        assert tokenized == Counter(review.text for review in reviews)
+
+    def test_lone_matrix_stage_tokenizes_each_review_once(
+        self, corpus, lexicon_dir, tmp_path, monkeypatch
+    ):
+        config = stage_config(corpus, lexicon_dir, tmp_path / "out")
+        cmd_stage("ingest", config)
+        cmd_stage("dict", config)
+        tokenized = count_tokenize_calls(monkeypatch)
+        cmd_stage("matrix", config)
+        assert tokenized == Counter(review.text for review in load_reviews(corpus))
+
+
+class TestCrashSafeWrites:
+    """An encoder that fails mid-write leaves the previous artifact whole
+    and no temporary file behind."""
+
+    @staticmethod
+    def fail_after(calls, function):
+        """``function`` for its first ``calls`` calls; every later call raises."""
+        count = iter(range(calls))
+
+        def failing(*args, **kwargs):
+            if next(count, None) is None:
+                raise RuntimeError("encoder failed mid-write")
+            return function(*args, **kwargs)
+
+        return failing
+
+    def test_reviews_jsonl(self, corpus, lexicon_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        before = artifact_bytes(out)
+        # The third record fails, after two have been written.
+        monkeypatch.setattr(json, "dumps", self.fail_after(2, json.dumps))
+        with pytest.raises(RuntimeError):
+            cmd_stage("ingest", stage_config(corpus, lexicon_dir, out))
+        assert artifact_bytes(out) == before
+        assert sorted(path.name for path in out.iterdir()) == sorted(before)
+
+    def test_loadings_csv(self, corpus, lexicon_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        before = artifact_bytes(out)
+        writer, fail_after = csv.writer, self.fail_after
+
+        class FailingWriter:  # the fourth row fails, after the header and two rows
+            def __init__(self, handle, **kwargs):
+                self.writerow = fail_after(3, writer(handle, **kwargs).writerow)
+
+        monkeypatch.setattr(report_module.csv, "writer", FailingWriter)
+        with pytest.raises(RuntimeError):
+            cmd_stage("efa", stage_config(corpus, lexicon_dir, out))
+        assert artifact_bytes(out) == before
+        assert sorted(path.name for path in out.iterdir()) == sorted(before)
+
 
 class TestConfigHandling:
     def test_config_file_applies_and_flags_win(self, corpus, lexicon_dir, tmp_path):
@@ -383,11 +486,22 @@ class TestExitCodes:
     def test_lock_contention(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text("12345\n", encoding="utf-8")
+        # The holder is this test's own process, which is alive.
+        (out / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
         assert run_pipeline(corpus, lexicon_dir, out) == 2
         assert "lock" in capsys.readouterr().err
         (out / ".lock").unlink()
         assert run_pipeline(corpus, lexicon_dir, out) == 0
+
+    def test_lock_of_an_exited_process_is_taken_over(self, corpus, lexicon_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        (out / ".lock").write_text(f"{child.pid}\n", encoding="utf-8")
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        assert not (out / ".lock").exists()
+        assert main(["verify", "--output-dir", str(out)]) == 0
 
     def test_unwritable_output_is_io_error(self, corpus, lexicon_dir, tmp_path):
         blocker = tmp_path / "file"
