@@ -6,14 +6,13 @@ a ``data.<pos>`` file holding the synsets themselves (with their pointer
 lists, where the ``!`` symbol marks antonymy), and a ``<pos>.exc`` file
 of irregular inflections. Only nouns and adjectives participate.
 
-One lexical pass, :meth:`ReviewLemmas.read`, tokenizes each review once
-and lemmatizes each distinct token once. It keeps each review's distinct
-lemmas as CSR arrays of lemma ids: those of all its tokens, stopwords
-included, for the document-term matrix, and the document frequency of
-lemmas reached from non-stopword tokens, for the dictionary. Within one
-``pipeline`` run the dictionary pass hands these arrays to the matrix
-stage, so the run tokenizes the corpus once and parses the database
-once.
+One lexical pass, :meth:`ReviewLemmas.read`, tokenizes each review once,
+drops its stopword tokens and lemmatizes each distinct remaining token
+once. It keeps each review's distinct lemmas as CSR arrays of lemma
+ids, which both the dictionary's document frequencies and the
+document-term matrix count. Within one ``pipeline`` run the dictionary
+pass hands these arrays to the matrix stage, so the run tokenizes the
+corpus once and parses the database once.
 
 Dictionary construction is a greedy pass over candidate lemmas ranked
 by document frequency: a candidate is admitted unless it shares a sense
@@ -368,17 +367,13 @@ class ReviewLemmas:
 
     The ``r``-th review read holds the lemmas ``vocabulary[i]`` for ``i``
     in ``ids[indptr[r]:indptr[r + 1]]``: the lemma of every token it
-    contains, stopwords included, because a stopword token still marks
-    its lemma's matrix column.
-    ``doc_freq[i]`` counts the reviews in which some non-stopword token
-    has the lemma ``vocabulary[i]``. A new instance holds no reviews;
+    contains that is not a stopword. A new instance holds no reviews;
     :meth:`read` fills it.
     """
 
     vocabulary: tuple[str, ...] = ()
     indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
     ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    doc_freq: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def read(
         self,
@@ -388,33 +383,29 @@ class ReviewLemmas:
     ) -> "ReviewLemmas":
         """Replace the contents with those of ``reviews`` and return self.
 
-        Each review is tokenized once and each distinct token lemmatized
-        once, through a token→lemma-id map that ends with the pass.
+        Each review is tokenized once, its stopword tokens are dropped,
+        and each distinct remaining token is lemmatized once, through a
+        token→lemma-id map that ends with the pass.
         """
         lemma_of: dict[Token, int] = {}  # -1: the token has no lemma
         vocabulary: dict[str, int] = {}
         indptr = [0]
         ids: list[int] = []
-        counted: list[int] = []
         for review in reviews:
-            tokens = set(tokenize(review.text))
+            tokens = set(tokenize(review.text)) - stopwords
             for token in tokens.difference(lemma_of):
                 lemma = lemmatize_token(lexicon, token)
                 if lemma is None:
                     lemma_of[token] = -1
                 else:
                     lemma_of[token] = vocabulary.setdefault(lemma, len(vocabulary))
-            kept = set(map(lemma_of.__getitem__, tokens - stopwords))
-            found = kept.union(map(lemma_of.__getitem__, tokens & stopwords))
-            kept.discard(-1)
+            found = set(map(lemma_of.__getitem__, tokens))
             found.discard(-1)
-            counted.extend(kept)
             ids.extend(found)
             indptr.append(len(ids))
         self.vocabulary = tuple(vocabulary)
         self.indptr = np.array(indptr, dtype=np.int64)
         self.ids = np.array(ids, dtype=np.int64)
-        self.doc_freq = np.bincount(np.array(counted, dtype=np.int64), minlength=len(vocabulary))
         return self
 
 
@@ -440,10 +431,8 @@ def build_dictionary(
     the matrix next neither tokenizes nor lemmatizes again.
     """
     lemmas = (ReviewLemmas() if lemmas is None else lemmas).read(reviews, lexicon, stopwords)
-    doc_freq = zip(lemmas.vocabulary, lemmas.doc_freq.tolist())
-    ranked = sorted(
-        ((lemma, freq) for lemma, freq in doc_freq if freq), key=lambda item: (-item[1], item[0])
-    )
+    doc_freq = np.bincount(lemmas.ids, minlength=len(lemmas.vocabulary)).tolist()
+    ranked = sorted(zip(lemmas.vocabulary, doc_freq), key=lambda item: (-item[1], item[0]))
     antonym_index = lexicon.antonym_index()
 
     claimed: set[SenseId] = set()

@@ -1,8 +1,9 @@
 """Binary document-term matrix construction and variance filtering.
 
 The matrix is binary and sparse: row ``d`` column ``t`` is 1 exactly
-when some token of document ``d`` lemmatizes to dictionary term ``t``.
-It is built from the per-review lemma ids of the lexical pass
+when some non-stopword token of document ``d`` lemmatizes to dictionary
+term ``t``, so column ``t`` holds the term's document frequency. It is
+built from the per-review lemma ids of the lexical pass
 (:class:`lexifactor.lexicon.ReviewLemmas`) that the dictionary pass
 fills, so building it needs no second pass over the text. It is stored
 in compressed sparse row (CSR) form: the columns of row ``d`` are
@@ -84,10 +85,8 @@ def build_matrix(
     ``lemmas`` is the lexical pass over ``reviews`` that
     :func:`lexifactor.lexicon.build_dictionary` filled, so the matrix is
     built without tokenizing. Given a :class:`Lexicon` instead, this
-    runs that pass itself (:meth:`ReviewLemmas.read`). Stopwords are not
-    removed here: a stopword token whose lemma is a term sets that
-    term's column, although the dictionary did not count it toward the
-    term's document frequency.
+    runs that pass itself (:meth:`ReviewLemmas.read`) with an empty
+    stopword list.
     """
     if isinstance(lemmas, Lexicon):
         lemmas = ReviewLemmas().read(reviews, lemmas)

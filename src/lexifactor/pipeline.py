@@ -7,11 +7,12 @@ its inputs from there (or from the configured input files). Within one
 memory (see :class:`Handoff`): the ingested reviews, the term
 dictionary and the dict stage's per-review lemmas. The run then reads
 the corpus once, tokenizes it once and reads no artifact back, and
-writes the same bytes as the stages run one by one. Every artifact is
-encoded once and written crash-safely. The manifest records, per stage,
-artifact checksums and basic counts plus the config snapshot;
-timestamps, thread counts, and directory locations stay out so that
-reruns yield byte-identical artifacts.
+writes the same bytes as the stages run one by one: a lone ``matrix``
+stage makes the dict stage's lexical pass again, with the same
+stopwords. Every artifact is encoded once and written crash-safely.
+The manifest records, per stage, artifact checksums and basic counts
+plus the config snapshot; timestamps, thread counts, and directory
+locations stay out so that reruns yield byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -332,7 +333,8 @@ def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
         dictionary = TermDictionary.from_json_dict(
             _read_json(_require_artifact(config.out / "dictionary.json"))
         )
-    matrix = build_matrix(reviews, dictionary, _load_lexicon(config) if lemmas is None else lemmas)
+        lemmas = ReviewLemmas().read(reviews, _load_lexicon(config), load_stopwords(config.stopwords))
+    matrix = build_matrix(reviews, dictionary, lemmas)
     write_matrix_market(matrix, config.out / "matrix.mtx")
 
     stats = column_stats(matrix)

@@ -171,14 +171,16 @@ def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
     )
 
 
-def reference_build_matrix(reviews, dictionary, lexicon) -> DocTermMatrix:
-    """Document-term matrix that looks up every token occurrence, with
-    stopwords kept, through a token-to-column cache."""
+def reference_build_matrix(reviews, dictionary, lexicon, stopwords) -> DocTermMatrix:
+    """Document-term matrix that looks up every token occurrence that is
+    not a stopword through a token-to-column cache."""
     cache = {}
     rows = []
     for review in reviews:
         columns = set()
         for token in tokenize(review.text):
+            if token in stopwords:
+                continue
             column = cache.get(token)
             if column is None:
                 lemma = lemmatize_token(lexicon, token)

@@ -9,6 +9,7 @@ from helpers import (
     from_rows,
     reference_build_dictionary,
     reference_build_matrix,
+    reference_document_lemmas,
     rows_of,
     to_dense,
 )
@@ -22,8 +23,6 @@ from lexifactor import (
     column_stats,
     filter_low_variance,
     filter_top_variance,
-    lemmatize_token,
-    tokenize,
 )
 from lexifactor.lexicon import ReviewLemmas
 from wordnet_fixture import expected_adj_lemmas, expected_noun_lemmas
@@ -71,10 +70,10 @@ class TestBuildMatrix:
         matrix = build_matrix(reviews, small_dictionary, lexicon)
         assert rows_of(matrix) == ((0, 1),)
 
-
-    def test_stopword_token_sets_column_but_not_doc_freq(self, lexicon):
-        # "glasses" is a stopword here, yet lemmatizes to the admitted term
-        # "glass": the matrix marks its review, the doc_freq does not count it.
+    def test_stopword_token_sets_neither_column_nor_doc_freq(self, lexicon):
+        # "glasses" is a stopword here, although it lemmatizes to the
+        # admitted term "glass": neither glass's doc_freq nor its matrix
+        # column counts the review that holds it.
         reviews = [
             Review(id="a", source="g2", text="glasses ticket"),
             Review(id="b", source="g2", text="glass"),
@@ -83,10 +82,12 @@ class TestBuildMatrix:
         dictionary = build_dictionary(reviews, lexicon, frozenset({"glasses"}), lemmas)
         assert dictionary.terms == ("glass", "ticket")
         assert dictionary.provenance["glass"].doc_freq == 1
-        assert lemma_sets(lemmas)[0] == {"glass", "ticket"}
-        for source in (lemmas, lexicon):
-            assert rows_of(build_matrix(reviews, dictionary, source)) == ((0, 1), (0,))
-
+        assert lemma_sets(lemmas)[0] == {"ticket"}
+        matrix = build_matrix(reviews, dictionary, lemmas)
+        assert rows_of(matrix) == ((1,), (0,))
+        assert column_stats(matrix).df[0] == 1
+        # Given the lexicon, build_matrix makes the pass with no stopwords.
+        assert rows_of(build_matrix(reviews, dictionary, lexicon)) == ((0, 1), (0,))
 
     def test_lemmas_must_cover_the_reviews(self, lexicon, small_dictionary):
         reviews = [Review(id="d1", source="g2", text="suite"), Review(id="d2", source="g2", text="")]
@@ -132,17 +133,37 @@ class TestLexicalPassEquivalence:
         dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
         assert dictionary == expected
 
-        expected_sets = [
-            {lemmatize_token(lexicon, token) for token in tokenize(review.text)} - {None}
-            for review in reviews
-        ]
+        expected_sets = [reference_document_lemmas(lexicon, r, stopwords) for r in reviews]
         assert lemma_sets(lemmas) == expected_sets
         assert [len(found) for found in expected_sets] == np.diff(lemmas.indptr).tolist()
-        assert lemma_sets(ReviewLemmas().read(reviews, lexicon)) == expected_sets
+        unfiltered_sets = [reference_document_lemmas(lexicon, r, frozenset()) for r in reviews]
+        assert lemma_sets(ReviewLemmas().read(reviews, lexicon)) == unfiltered_sets
 
-        reference = reference_build_matrix(reviews, expected, lexicon)
-        assert build_matrix(reviews, dictionary, lemmas) == reference
-        assert build_matrix(reviews, dictionary, lexicon) == reference
+        assert build_matrix(reviews, dictionary, lemmas) == reference_build_matrix(
+            reviews, expected, lexicon, stopwords
+        )
+        assert build_matrix(reviews, dictionary, lexicon) == reference_build_matrix(
+            reviews, expected, lexicon, frozenset()
+        )
+
+
+class TestDocFreqIsColumnCount:
+    """The dictionary and the matrix count the same reviews for each term."""
+
+    @given(
+        texts=st.lists(_review_text, min_size=1, max_size=8),
+        stopwords=st.frozensets(st.sampled_from(LEXICAL_WORDS), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_doc_freq_equals_column_df(self, lexicon, texts, stopwords):
+        reviews = [Review(id=f"r{i}", source="g2", text=text) for i, text in enumerate(texts)]
+        lemmas = ReviewLemmas()
+        try:
+            dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
+        except EmptyDictionaryError:
+            return
+        df = column_stats(build_matrix(reviews, dictionary, lemmas)).df
+        assert df.tolist() == [dictionary.provenance[t].doc_freq for t in dictionary.terms]
 
 
 class TestColumnStats:

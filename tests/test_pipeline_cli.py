@@ -18,7 +18,9 @@ from lexifactor import (
     cmd_pipeline,
     cmd_stage,
     cmd_verify,
+    column_stats,
     load_reviews,
+    load_stopwords,
     tokenize,
 )
 from lexifactor import lexicon as lexicon_module
@@ -26,14 +28,14 @@ from lexifactor import matrix as matrix_module
 from lexifactor import pipeline as pipeline_module
 from lexifactor import report as report_module
 from lexifactor.cli import main
-from lexifactor.mmio import write_matrix_market
+from lexifactor.mmio import read_matrix_market, write_matrix_market
 
 VOCAB_GROUP_A = ["suite", "tickets", "agent"]
 VOCAB_GROUP_B = ["glasses", "box", "churches"]
 VOCAB_FILLER = ["noise", "user", "support", "team", "review", "chat", "email", "bot"]
 
 
-def write_corpus(path, n_docs=60, seed=3):
+def write_corpus(path, n_docs=60, seed=3, filler=VOCAB_FILLER):
     """Corpus over the fixture lexicon: two co-occurring word groups plus
     independent filler words, with inflected forms mixed in."""
     rng = np.random.default_rng(seed)
@@ -44,7 +46,7 @@ def write_corpus(path, n_docs=60, seed=3):
             words += [w for w in VOCAB_GROUP_A if rng.random() < 0.8]
         if rng.random() < 0.5:
             words += [w for w in VOCAB_GROUP_B if rng.random() < 0.8]
-        words += [w for w in VOCAB_FILLER if rng.random() < 0.25]
+        words += [w for w in filler if rng.random() < 0.25]
         record = {"id": f"d{i:03d}", "source": "g2", "text": " ".join(words)}
         lines.append(json.dumps(record))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -54,6 +56,27 @@ def write_corpus(path, n_docs=60, seed=3):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     return write_corpus(tmp_path_factory.mktemp("corpus") / "reviews.jsonl")
+
+
+def run_stages(corpus, lexicon_dir, out, extra=()):
+    """Run the five stage commands in order; return their exit codes."""
+    return [
+        main(
+            [
+                stage,
+                "--input",
+                str(corpus),
+                "--lexicon-dir",
+                str(lexicon_dir),
+                "--output-dir",
+                str(out),
+                "--factors",
+                "fixed:2",
+                *extra,
+            ]
+        )
+        for stage in ("ingest", "dict", "matrix", "efa", "report")
+    ]
 
 
 def run_pipeline(corpus, lexicon_dir, out, extra=()):
@@ -205,22 +228,27 @@ class TestDeterminism:
     def test_stage_sequence_matches_pipeline(self, corpus, lexicon_dir, tmp_path):
         whole, staged = tmp_path / "whole", tmp_path / "staged"
         assert run_pipeline(corpus, lexicon_dir, whole) == 0
-        for stage in ("ingest", "dict", "matrix", "efa", "report"):
-            code = main(
-                [
-                    stage,
-                    "--input",
-                    str(corpus),
-                    "--lexicon-dir",
-                    str(lexicon_dir),
-                    "--output-dir",
-                    str(staged),
-                    "--factors",
-                    "fixed:2",
-                ]
-            )
-            assert code == 0
+        assert run_stages(corpus, lexicon_dir, staged) == [0] * 5
         assert artifact_bytes(whole) == artifact_bytes(staged)
+
+    def test_custom_stopword_counts_toward_neither_doc_freq_nor_column(
+        self, lexicon_dir, tmp_path
+    ):
+        # "glasses" lemmatizes to "glass", which other reviews hold as is.
+        corpus = write_corpus(tmp_path / "reviews.jsonl", filler=[*VOCAB_FILLER, "glass"])
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\nand\nglasses\n", encoding="utf-8")
+        extra = ("--stopwords", str(stopwords))
+        whole, staged = tmp_path / "whole", tmp_path / "staged"
+        assert run_pipeline(corpus, lexicon_dir, whole, extra) == 0
+        assert run_stages(corpus, lexicon_dir, staged, extra) == [0] * 5
+        assert artifact_bytes(whole) == artifact_bytes(staged)
+
+        records = json.loads((whole / "dictionary.json").read_text())["terms"]
+        assert "glass" in {record["term"] for record in records}
+        matrix = read_matrix_market(whole / "matrix.mtx")
+        assert matrix.terms == tuple(record["term"] for record in records)
+        assert column_stats(matrix).df.tolist() == [record["doc_freq"] for record in records]
 
     def test_rerun_is_byte_identical(self, corpus, lexicon_dir, tmp_path):
         out = tmp_path / "out"
@@ -254,7 +282,9 @@ class TestWorkCounts:
 
         assert len(parses) == 1
         tokens = {token for review in load_reviews(corpus) for token in tokenize(review.text)}
-        assert lemmatized == Counter(dict.fromkeys(tokens, 1))
+        assert tokens & load_stopwords()
+        # Stopword tokens are never lemmatized.
+        assert lemmatized == Counter(dict.fromkeys(tokens - load_stopwords(), 1))
 
     def test_pipeline_reads_the_corpus_once_and_tokenizes_each_review_once(
         self, corpus, lexicon_dir, tmp_path, monkeypatch
