@@ -27,7 +27,6 @@ from .efa import (
 )
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     DegenerateColumnError,
     DependencyError,
     DuplicateIdError,
@@ -92,7 +91,6 @@ __all__ = [
     "varimax_criterion",
     "varimax_rotate",
     "ConfigurationError",
-    "ConvergenceError",
     "DegenerateColumnError",
     "DependencyError",
     "DuplicateIdError",

@@ -67,7 +67,3 @@ class DependencyError(StageError):
     def __init__(self, artifact: str):
         self.artifact = artifact
         super().__init__(f"missing required artifact: {artifact}")
-
-
-class ConvergenceError(StageError):
-    """An iterative solver exhausted its iteration budget."""

@@ -433,6 +433,9 @@ def _fresh_manifest(config: PipelineConfig) -> dict:
 
 
 def _update_manifest(config: PipelineConfig, stage: str, counts: dict) -> None:
+    """Record ``stage``'s artifacts. When they differ from the recorded
+    ones, the later stages' entries are dropped: those stages consumed
+    the old artifacts, so their own are stale until they run again."""
     path = _manifest_path(config)
     manifest = _read_json(path) if path.is_file() else _fresh_manifest(config)
     if manifest.get("config") != config.snapshot():
@@ -440,10 +443,12 @@ def _update_manifest(config: PipelineConfig, stage: str, counts: dict) -> None:
             "output directory holds artifacts from a different configuration; "
             "re-run the full pipeline or use a fresh output directory"
         )
-    manifest["stages"][stage] = {
-        "artifacts": {name: _sha256(config.out / name) for name in STAGE_ARTIFACTS[stage]},
-        "counts": counts,
-    }
+    stages = manifest["stages"]
+    artifacts = {name: _sha256(config.out / name) for name in STAGE_ARTIFACTS[stage]}
+    if stages.get(stage, {}).get("artifacts") != artifacts:
+        for later in STAGES[STAGES.index(stage) + 1 :]:
+            stages.pop(later, None)
+    stages[stage] = {"artifacts": artifacts, "counts": counts}
     _write_json(path, manifest)
 
 
@@ -469,10 +474,12 @@ def cmd_pipeline(config: PipelineConfig) -> None:
 
 
 def cmd_verify(config: PipelineConfig) -> list[str]:
-    """Check manifest checksums and basic cross-artifact consistency.
+    """Check manifest checksums, lineage and basic cross-artifact consistency.
 
-    Returns a list of problems; empty means the output directory is
-    internally consistent.
+    Lineage: every recorded stage's upstream stage is recorded too, and
+    no artifact of an unrecorded stage is left in the directory. Returns
+    a list of problems; empty means the output directory is internally
+    consistent.
     """
     manifest_path = _manifest_path(config)
     if not manifest_path.is_file():
@@ -488,6 +495,14 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
                 problems.append(f"{stage}: missing artifact {name}")
             elif _sha256(path) != recorded:
                 problems.append(f"{stage}: checksum mismatch for {name}")
+    for upstream, stage in zip(STAGES, STAGES[1:]):
+        if stage in stages and upstream not in stages:
+            problems.append(f"{stage}: upstream stage {upstream} is not recorded")
+    for stage in STAGES:
+        if stage not in stages:
+            for name in STAGE_ARTIFACTS[stage]:
+                if (config.out / name).is_file():
+                    problems.append(f"{stage}: stale artifact {name}, stage not recorded")
 
     def _count(stage: str, key: str) -> int | None:
         return stages.get(stage, {}).get("counts", {}).get(key)
@@ -503,7 +518,8 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     dict_path = config.out / "dictionary.json"
     expected = _count("dict", "terms")
     if expected is not None and dict_path.is_file():
-        actual = len(_read_json(dict_path).get("terms", []))
+        # The writer's term key lines; no JSON string holds a raw newline.
+        actual = dict_path.read_bytes().count(b'\n      "term": ')
         if actual != expected:
             problems.append(f"dict: manifest says {expected} terms, file lists {actual}")
 

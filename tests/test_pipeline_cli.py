@@ -507,6 +507,17 @@ class TestExitCodes:
             f"matrix: manifest says {kept + 1} kept columns, matrix has {kept}"
         ]
 
+    def test_verify_compares_term_count_with_dictionary(self, corpus, lexicon_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        terms = manifest["stages"]["dict"]["counts"]["terms"]
+        manifest["stages"]["dict"]["counts"]["terms"] = terms + 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        config = build_config(overrides={"output_dir": str(out)})
+        assert cmd_verify(config) == [f"dict: manifest says {terms + 1} terms, file lists {terms}"]
+
     def test_verify_ok_prints_and_returns_zero(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
         run_pipeline(corpus, lexicon_dir, out)
@@ -542,6 +553,54 @@ class TestExitCodes:
 
 def solver_lines(caplog) -> list[str]:
     return [record.getMessage() for record in caplog.records if record.name == "lexifactor"]
+
+
+class TestLineage:
+    """A stage whose artifacts change drops the later stages from the
+    manifest, and ``verify`` names what they left behind."""
+
+    LATER = ("dict", "matrix", "efa", "report")
+
+    def test_changed_ingest_makes_downstream_stale(self, lexicon_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        corpus = write_corpus(tmp_path / "reviews.jsonl")
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        write_corpus(corpus, seed=4)
+        config = stage_config(corpus, lexicon_dir, out)
+        cmd_stage("ingest", config)
+        assert set(json.loads((out / "manifest.json").read_text())["stages"]) == {"ingest"}
+
+        assert main(["verify", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        stale = [
+            f"{stage}: stale artifact {name}, stage not recorded"
+            for stage in self.LATER
+            for name in pipeline_module.STAGE_ARTIFACTS[stage]
+        ]
+        assert cmd_verify(config) == stale
+        assert all(problem in err for problem in stale)
+
+        for stage in self.LATER:
+            cmd_stage(stage, config)
+        assert cmd_verify(config) == []
+
+    def test_unchanged_rerun_keeps_downstream(self, corpus, lexicon_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        cmd_stage("dict", stage_config(corpus, lexicon_dir, out))
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert main(["verify", "--output-dir", str(out)]) == 0
+
+    def test_recorded_stage_needs_recorded_upstream(self, corpus, lexicon_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["stages"]["matrix"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        config = build_config(overrides={"output_dir": str(out)})
+        assert cmd_verify(config)[0] == "efa: upstream stage matrix is not recorded"
 
 
 class TestSolverLog:
