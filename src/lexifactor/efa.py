@@ -71,6 +71,7 @@ class VarimaxResult(NamedTuple):
     rotation: np.ndarray
     sweeps: int
     criterion_history: tuple[float, ...]
+    converged: bool
 
 
 def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
@@ -154,13 +155,16 @@ def extract_uls(
 ) -> FactorModel:
     """Iterated principal-axis extraction of ``k`` factors.
 
-    Each pass eigendecomposes the correlation matrix with current
-    communality estimates on the diagonal, rebuilds loadings from the
-    top ``k`` components (negative eigenvalues clipped to zero), and
-    updates the communalities from the loading row sums of squares until
-    the largest change drops below ``tol``. Communalities are clamped at
-    1; hitting the clamp sets the ``heywood`` flag. Each factor is signed
-    so that its largest-magnitude loading is positive.
+    Each pass computes only the ``k`` largest eigenpairs of the
+    correlation matrix with current communality estimates on the
+    diagonal (LAPACK's ``syevr`` through ``scipy.linalg.eigh`` with
+    ``subset_by_index``), rebuilds loadings from them (negative
+    eigenvalues clipped to zero), and updates the communalities from
+    the loading row sums of squares until the largest change drops
+    below ``tol``. Communalities are clamped at 1; hitting the clamp
+    sets the ``heywood`` flag. Each factor is signed so that its
+    largest-magnitude loading is positive. A correlation matrix with a
+    NaN or infinite entry is an error.
     """
     C = np.asarray(corr.values, dtype=np.float64)
     p = C.shape[0]
@@ -170,6 +174,12 @@ def extract_uls(
         raise ValidationError(f"factor count {k} outside [1, {p}]")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be positive and max_iter at least 1")
+    if not np.all(np.isfinite(C)):
+        raise ValidationError("correlation matrix holds NaN or infinite entries")
+
+    # Imported here, as in correlation_matrix, so that commands that
+    # never extract factors do not load SciPy.
+    from scipy.linalg import eigh
 
     h2 = _initial_communalities(C)
     reduced = C.copy()
@@ -179,10 +189,10 @@ def extract_uls(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         np.fill_diagonal(reduced, h2)
-        eigenvalues, eigenvectors = np.linalg.eigh(reduced)
-        top = np.argsort(eigenvalues)[::-1][:k]
-        scale = np.sqrt(np.clip(eigenvalues[top], 0.0, None))
-        loadings = eigenvectors[:, top] * scale
+        # The k largest eigenpairs, in ascending order; reversed below.
+        eigenvalues, eigenvectors = eigh(reduced, subset_by_index=[p - k, p - 1])
+        scale = np.sqrt(np.clip(eigenvalues[::-1], 0.0, None))
+        loadings = eigenvectors[:, ::-1] * scale
         new_h2 = np.sum(loadings * loadings, axis=1)
         if np.any(new_h2 > 1.0):
             heywood = True
@@ -219,10 +229,6 @@ def uls_objective(corr_values: np.ndarray, loadings: np.ndarray) -> float:
     return float(np.sum(residual * residual))
 
 
-VARIMAX_TOL = 1e-10
-VARIMAX_MAX_SWEEPS = 100
-
-
 def varimax_criterion(loadings: np.ndarray) -> float:
     """Sum over factors of the variance of squared loadings."""
     W2 = np.asarray(loadings) ** 2
@@ -233,8 +239,8 @@ def varimax_criterion(loadings: np.ndarray) -> float:
 def varimax_rotate(
     loadings: np.ndarray,
     kaiser_normalize: bool = True,
-    tol: float = VARIMAX_TOL,
-    max_sweeps: int = VARIMAX_MAX_SWEEPS,
+    tol: float = 1e-10,
+    max_sweeps: int = 100,
 ) -> VarimaxResult:
     """Orthogonal Varimax rotation by pairwise planar rotations.
 
@@ -245,7 +251,10 @@ def varimax_rotate(
     loadings and signed so each factor's largest-magnitude loading is
     positive; both steps are folded into the rotation matrix. The
     criterion history tracks the working (normalized) matrix and never
-    decreases: a sweep that loses ground to roundoff is undone.
+    decreases: a sweep that loses ground to roundoff is undone. The
+    rotation has ``converged`` when a sweep gains less than ``tol``
+    (an undone sweep gained less than nothing), and has not when it
+    stops at ``max_sweeps``; one factor needs no sweep and converges.
 
     Each sweep visits the pairs in row-cyclic order (0, 1), (0, 2), ...,
     (k-2, k-1), one level of :func:`_pair_levels` at a time. A level
@@ -285,6 +294,7 @@ def varimax_rotate(
     buffers = np.empty((5, k // 2, p))
     history = [varimax_criterion(W)]
     sweeps = 0
+    converged = k == 1
     for _ in range(max_sweeps if k > 1 else 0):
         Wt_before, Tt_before = Wt.copy(), Tt.copy()
         for pairs in levels:
@@ -310,11 +320,13 @@ def varimax_rotate(
         value = varimax_criterion(Wt.T.copy())  # C order: column sums add row by row
         if value < history[-1]:
             Wt, Tt = Wt_before, Tt_before  # roundoff regression: undo the sweep
+            converged = True
             break
         sweeps += 1
         gain = value - history[-1]
         history.append(value)
         if gain < tol:
+            converged = True
             break
 
     # Order factors by explained sum of squares, then fix signs; fold both
@@ -326,7 +338,11 @@ def varimax_rotate(
     T = T[:, order] * _anchor_signs(rotated[:, order])
     rotated = L0 @ T
     return VarimaxResult(
-        loadings=rotated, rotation=T, sweeps=sweeps, criterion_history=tuple(history)
+        loadings=rotated,
+        rotation=T,
+        sweeps=sweeps,
+        criterion_history=tuple(history),
+        converged=converged,
     )
 
 

@@ -33,8 +33,6 @@ from . import __version__
 from .atomic import atomic_open, write_text
 from .config import PipelineConfig, parse_factor_spec
 from .efa import (
-    VARIMAX_MAX_SWEEPS,
-    VARIMAX_TOL,
     FactorLoadings,
     FactorModel,
     LoadingTable,
@@ -199,6 +197,7 @@ def model_payload(
         "n_iter": model.n_iter,
         "heywood": model.heywood,
         "rotation_sweeps": rotation.sweeps,
+        "rotation_converged": rotation.converged,
     }
 
 
@@ -385,14 +384,8 @@ def _solver_summary(model: FactorModel, rotation: VarimaxResult) -> str:
     varimax = f"Varimax {rotation.sweeps} sweeps"
     history = rotation.criterion_history
     if len(history) > 1:
-        gain = history[-1] - history[-2]
-        if gain < VARIMAX_TOL:
-            outcome = "converged"
-        elif rotation.sweeps >= VARIMAX_MAX_SWEEPS:
-            outcome = "stopped at the sweep cap"
-        else:
-            outcome = "stopped when a sweep lost ground to roundoff"
-        varimax += f", last gain {gain:.3g}, {outcome}"
+        varimax += f", last gain {history[-1] - history[-2]:.3g}"
+    varimax += ", converged" if rotation.converged else ", stopped at the sweep cap"
     return f"{uls}, {heywood}; {varimax}"
 
 

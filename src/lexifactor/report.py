@@ -12,11 +12,12 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
-from .atomic import atomic_open, write_text
+from .atomic import write_text
 from .efa import LoadingTable
 from .errors import ValidationError
 from .matrix import DocTermMatrix
@@ -176,13 +177,17 @@ def write_loadings_csv(
     """
     if len(terms) != rotated.shape[0]:
         raise ValidationError(f"{len(terms)} terms for {rotated.shape[0]} loading rows")
-    retained = {
-        (factor.factor, term) for factor in table.factors for term, _ in factor.entries
-    }
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["factor", "term", "loading", "retained"])
-        for j in range(rotated.shape[1]):
-            for i, term in enumerate(terms):
-                flag = "true" if (j + 1, term) in retained else "false"
-                writer.writerow([j + 1, term, float(rotated[i, j]), flag])
+    retained = {factor.factor: {term for term, _ in factor.entries} for factor in table.factors}
+    # Each term as csv.writer quotes it inside a row: ``writerow`` returns
+    # what the file's ``write`` returns, here the formatted line itself.
+    quote_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    quoted = [quote_row((term, ""))[: -len(",\n")] for term in terms]
+    # The other fields need no quoting; csv.writer writes floats as repr.
+    lines = ["factor,term,loading,retained\n"]
+    for factor, column in enumerate(rotated.T.tolist(), start=1):
+        kept = retained.get(factor, ())
+        lines += [
+            f"{factor},{field},{loading!r},{'true' if term in kept else 'false'}\n"
+            for term, field, loading in zip(terms, quoted, column)
+        ]
+    write_text(path, "".join(lines))

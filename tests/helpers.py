@@ -7,6 +7,7 @@ against something independent.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
@@ -21,7 +22,7 @@ from lexifactor import (
     lemmatize_token,
     tokenize,
 )
-from lexifactor.efa import VarimaxResult, varimax_criterion
+from lexifactor.efa import FactorModel, VarimaxResult, _initial_communalities, varimax_criterion
 
 
 def from_rows(doc_ids, terms, rows) -> DocTermMatrix:
@@ -257,7 +258,49 @@ def reference_varimax_rotate(
     T = T * signs
     rotated = L0 @ T
     return VarimaxResult(
-        loadings=rotated, rotation=T, sweeps=sweeps, criterion_history=tuple(history)
+        loadings=rotated,
+        rotation=T,
+        sweeps=sweeps,
+        criterion_history=tuple(history),
+        converged=k == 1 or sweeps < max_sweeps or history[-1] - history[-2] < tol,
+    )
+
+
+def reference_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 1000) -> FactorModel:
+    """Iterated principal axis with a full ``eigh`` of the reduced matrix
+    per pass, keeping the top ``k`` pairs by ``argsort``: the solver the
+    package's top-k ``scipy.linalg.eigh`` must match."""
+    C = np.asarray(corr.values, dtype=np.float64)
+    p = C.shape[0]
+    h2 = _initial_communalities(C)
+    reduced = C.copy()
+    loadings = np.zeros((p, k))
+    heywood = False
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        np.fill_diagonal(reduced, h2)
+        eigenvalues, eigenvectors = np.linalg.eigh(reduced)
+        top = np.argsort(eigenvalues)[::-1][:k]
+        scale = np.sqrt(np.clip(eigenvalues[top], 0.0, None))
+        loadings = eigenvectors[:, top] * scale
+        new_h2 = np.sum(loadings * loadings, axis=1)
+        if np.any(new_h2 > 1.0):
+            heywood = True
+            new_h2 = np.minimum(new_h2, 1.0)
+        delta = float(np.max(np.abs(new_h2 - h2)))
+        h2 = new_h2
+        if delta < tol:
+            converged = True
+            break
+    return FactorModel(
+        k=k,
+        loadings=reference_anchor_signs(loadings),
+        communalities=h2,
+        uniquenesses=1.0 - h2,
+        converged=converged,
+        n_iter=iterations,
+        heywood=heywood,
     )
 
 
@@ -365,3 +408,15 @@ def assert_equivalent_factor_results(
     assert set(rows) == {match[g] for g in golden_rows}, "retained factors differ"
     for g, words in golden_rows.items():
         assert rows[match[g]] == words, f"golden factor {g}: words {rows[match[g]]} != {words}"
+
+
+def reference_write_loadings_csv(rotated: np.ndarray, terms, table, path) -> None:
+    """``loadings.csv`` written one ``csv.writer.writerow`` per row."""
+    retained = {(factor.factor, term) for factor in table.factors for term, _ in factor.entries}
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["factor", "term", "loading", "retained"])
+        for j in range(rotated.shape[1]):
+            for i, term in enumerate(terms):
+                flag = "true" if (j + 1, term) in retained else "false"
+                writer.writerow([j + 1, term, float(rotated[i, j]), flag])

@@ -9,6 +9,7 @@ from helpers import (
     random_binary,
     reference_anchor_signs,
     reference_eigendecompose,
+    reference_extract_uls,
     reference_varimax_rotate,
     textbook_phi,
 )
@@ -231,6 +232,72 @@ class TestExtractUls:
         with pytest.raises(ValidationError):
             extract_uls(corr, 1, tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        values = one_factor_corr([0.8, 0.7, 0.6]).values
+        values[0, 2] = values[2, 0] = bad
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            extract_uls(corr_from(values), 1)
+
+
+def factor_model_corr(rng: np.random.Generator, p: int, m: int) -> CorrelationMatrix:
+    """Correlation matrix of ``m`` random common factors plus unique noise."""
+    W = rng.normal(size=(p, m))
+    S = W @ W.T + np.diag(rng.uniform(0.3, 2.0, size=p))
+    d = np.sqrt(np.diag(S))
+    C = S / np.outer(d, d)
+    np.fill_diagonal(C, 1.0)
+    return corr_from(C)
+
+
+def assert_same_model(model, reference):
+    assert (model.k, model.n_iter, model.converged, model.heywood) == (
+        reference.k, reference.n_iter, reference.converged, reference.heywood,
+    )
+    assert np.max(np.abs(model.loadings - reference.loadings)) <= 1e-10
+    assert np.max(np.abs(model.communalities - reference.communalities)) <= 1e-10
+
+
+class TestUlsMatchesFullEighReference:
+    """The top-k solver gives the full-spectrum loop's model."""
+
+    @pytest.mark.parametrize(
+        "seed, p, m, k",
+        [(0, 6, 2, 2), (1, 12, 3, 3), (2, 40, 5, 5), (3, 40, 5, 3), (4, 120, 8, 8), (5, 30, 4, 6)],
+    )
+    def test_random_factor_models(self, seed, p, m, k):
+        corr = factor_model_corr(np.random.default_rng(seed), p, m)
+        assert_same_model(extract_uls(corr, k), reference_extract_uls(corr, k))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_phi(self, seed):
+        dense = random_binary(np.random.default_rng(seed), 400, 25, density=0.2)
+        corr = correlation_matrix(from_dense(dense))
+        assert_same_model(extract_uls(corr, 4), reference_extract_uls(corr, 4))
+
+    def test_single_factor(self):
+        corr = factor_model_corr(np.random.default_rng(7), 15, 1)
+        assert_same_model(extract_uls(corr, 1), reference_extract_uls(corr, 1))
+
+    def test_every_factor(self):
+        # k = p asks LAPACK for the index range [0, p - 1], the whole spectrum
+        corr = factor_model_corr(np.random.default_rng(8), 7, 2)
+        model = extract_uls(corr, 7, max_iter=25)
+        assert_same_model(model, reference_extract_uls(corr, 7, max_iter=25))
+        assert model.loadings.shape == (7, 7)
+
+    def test_heywood_case(self):
+        corr = corr_from([[1.0, 0.9, 0.9], [0.9, 1.0, 0.2], [0.9, 0.2, 1.0]])
+        model = extract_uls(corr, 1)
+        assert model.heywood
+        assert_same_model(model, reference_extract_uls(corr, 1))
+
+    def test_iteration_cap(self):
+        corr = factor_model_corr(np.random.default_rng(9), 20, 3)
+        model = extract_uls(corr, 3, max_iter=2)
+        assert not model.converged and model.n_iter == 2
+        assert_same_model(model, reference_extract_uls(corr, 3, max_iter=2))
+
 
 def grid_best_criterion(W: np.ndarray, n_angles: int = 10001) -> float:
     """Best pairwise-rotation criterion for two factors, by brute force."""
@@ -290,6 +357,16 @@ class TestVarimax:
         history = np.array(result.criterion_history)
         assert np.all(np.diff(history) >= 0.0)
         assert result.sweeps >= 1
+
+    def test_converged_flag(self):
+        converging = varimax_rotate(np.random.default_rng(37).normal(size=(20, 5)))
+        assert converging.converged and converging.sweeps < 100
+        assert converging.criterion_history[-1] - converging.criterion_history[-2] < 1e-10
+        # these loadings need 255 sweeps to gain less than 1e-10
+        capped = varimax_rotate(np.random.default_rng(12).normal(size=(30, 8)) * 0.4)
+        assert not capped.converged and capped.sweeps == 100
+        single = varimax_rotate(np.array([[0.5], [-0.7]]))
+        assert single.converged and single.sweeps == 0
 
     def test_columns_ordered_by_explained_ssq(self):
         rng = np.random.default_rng(41)
@@ -377,6 +454,7 @@ class TestAnchorSigns:
 
 def assert_same_rotation(result, reference):
     assert result.sweeps == reference.sweeps
+    assert result.converged == reference.converged
     assert result.criterion_history == reference.criterion_history
     assert result.loadings.tobytes() == reference.loadings.tobytes()
     assert result.rotation.tobytes() == reference.rotation.tobytes()
@@ -413,6 +491,8 @@ class TestVarimaxMatchesSequentialReference:
         )
         history = result.criterion_history
         assert result.sweeps == 3 and history[-1] - history[-2] > 1e-8
+        # no sweep can raise the criterion any more: that is convergence
+        assert result.converged
 
     @pytest.mark.parametrize("k, n_levels", [(1, 0), (2, 1), (3, 3), (4, 5), (32, 61), (40, 77)])
     def test_schedule(self, k, n_levels):

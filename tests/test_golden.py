@@ -3,9 +3,10 @@
 Each configuration runs ``lexifactor pipeline`` in a fresh interpreter
 with the BLAS thread count pinned to 1, since LAPACK results move in
 the last bits with the thread count. On a host whose fingerprint
-(NumPy version, BLAS name and version, SIMD extensions found) matches
-the one recorded in ``golden/artifacts.json``, all 15 artifacts must
-match their recorded sha256. On any other host the 9 artifacts that
+(NumPy version, BLAS name and version, SciPy version, LAPACK name and
+version, SIMD extensions found) matches the one recorded in
+``golden/artifacts.json``, all 15 artifacts must match their recorded
+sha256. On any other host the 9 artifacts that
 hold no computed floats are still compared by hash, and ``model.json``
 and ``report.md`` are compared with the golden copies by
 :func:`helpers.assert_equivalent_factor_results`.
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import lexifactor
 from helpers import assert_equivalent_factor_results
@@ -76,9 +78,12 @@ CONFIGURATIONS = {
 def fingerprint() -> dict:
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
+    # ULS eigenpairs come from SciPy's LAPACK, which SciPy links itself.
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
+        "scipy": f"{scipy.__version__}, {lapack['name']} {lapack['version']}",
         "simd_found": list(config["SIMD Extensions"]["found"]),
     }
 

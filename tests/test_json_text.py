@@ -62,6 +62,7 @@ model_payloads = st.fixed_dictionaries(
         "n_iter": ints,
         "heywood": st.booleans(),
         "rotation_sweeps": ints,
+        "rotation_converged": st.booleans(),
     }
 )
 

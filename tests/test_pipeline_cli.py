@@ -612,7 +612,7 @@ class TestSolverLog:
             assert run_pipeline(corpus, lexicon_dir, out) == 0
         (line,) = solver_lines(caplog)
         model = json.loads((out / "model.json").read_text(encoding="utf-8"))
-        assert model["converged"] and not model["heywood"]
+        assert model["converged"] and not model["heywood"] and model["rotation_converged"]
         assert line.startswith(
             f"efa: ULS {model['n_iter']} iterations, converged, no Heywood case; "
             f"Varimax {model['rotation_sweeps']} sweeps, last gain "
@@ -644,7 +644,7 @@ class TestSolverLog:
             line,
         )
         model = json.loads((out / "model.json").read_text(encoding="utf-8"))
-        assert model["rotation_sweeps"] == 100
+        assert model["rotation_sweeps"] == 100 and not model["rotation_converged"]
 
 
 class TestDirectApi:

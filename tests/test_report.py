@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import from_dense, from_rows, reference_exemplars
+from helpers import from_dense, from_rows, reference_exemplars, reference_write_loadings_csv
 from lexifactor import (
     FactorLoadings,
     LoadingTable,
@@ -177,3 +177,35 @@ class TestWriteLoadingsCsv:
     def test_term_count_validated(self, tmp_path, table):
         with pytest.raises(ValidationError):
             write_loadings_csv(np.array([[0.5, 0.5]]), ("a", "b"), table, tmp_path / "x.csv")
+
+
+# Terms drawing often what csv quotes (separator, quote, line breaks) and
+# what it leaves alone.
+csv_terms = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\n \t\'é'), st.characters(codec="utf-8")), max_size=6
+)
+
+
+@st.composite
+def loadings_cases(draw):
+    terms = tuple(draw(st.lists(csv_terms, min_size=1, max_size=6, unique=True)))
+    k = draw(st.integers(1, 4))
+    elements = st.one_of(
+        st.floats(), st.sampled_from([-0.0, 5e-324, 0.1, 1e16, float("nan"), float("inf")])
+    )
+    rotated = draw(arrays(np.float64, (len(terms), k), elements=elements))
+    factors = tuple(
+        FactorLoadings(j, tuple((term, 0.5) for term in draw(st.sets(st.sampled_from(terms)))))
+        for j in sorted(draw(st.sets(st.integers(1, k + 1))))
+    )
+    return rotated, terms, LoadingTable(factors=factors, threshold=0.3)
+
+
+@given(case=loadings_cases())
+@settings(max_examples=200, deadline=None)
+def test_loadings_csv_equals_csv_writer(case, tmp_path_factory):
+    rotated, terms, table = case
+    work = tmp_path_factory.mktemp("csv")
+    write_loadings_csv(rotated, terms, table, work / "fast.csv")
+    reference_write_loadings_csv(rotated, terms, table, work / "reference.csv")
+    assert (work / "fast.csv").read_bytes() == (work / "reference.csv").read_bytes()
