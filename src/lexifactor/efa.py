@@ -6,11 +6,17 @@ unweighted least squares model (iterated principal axis on the reduced
 correlation matrix), its Varimax rotation, and the rotated p x k
 loadings pruned into per-factor word lists and refined to the
 strongest factors. No step changes a value an earlier step returned.
+
+The spectrum, the starting communalities and the ULS eigenpairs all
+come from SciPy's LAPACK. SciPy links its own OpenBLAS, whose thread
+pool would otherwise take turns with NumPy's, and an idle pool's
+spinning workers slow the other on a small host.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -109,7 +115,11 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
 def eigendecompose(corr: CorrelationMatrix) -> np.ndarray:
     """The eigenvalues of the correlation matrix, descending; choosing
     the factor count needs no eigenvectors."""
-    return np.sort(np.linalg.eigvalsh(corr.values))[::-1]
+    from scipy.linalg import eigvalsh
+
+    # Driver "ev" takes the steps of NumPy's eigvalsh (a tridiagonal
+    # reduction, then dsterf), so both compute the same spectrum.
+    return np.sort(eigvalsh(corr.values, driver="ev"))[::-1]
 
 
 def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int | None = None) -> int:
@@ -136,8 +146,14 @@ def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int 
 
 def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
     """Squared multiple correlations, or max |row correlation| as fallback."""
+    from scipy.linalg import LinAlgWarning, inv
+
     try:
-        inverse_diag = np.diag(np.linalg.inv(corr_values))
+        with warnings.catch_warnings():
+            # A nearly singular matrix still has an inverse, and its
+            # out-of-range SMCs are clipped below: nothing to warn about.
+            warnings.simplefilter("ignore", LinAlgWarning)
+            inverse_diag = np.diag(inv(corr_values))
         smc = 1.0 - 1.0 / inverse_diag
     except np.linalg.LinAlgError:
         off = np.abs(corr_values).copy()
@@ -177,8 +193,6 @@ def extract_uls(
     if not np.all(np.isfinite(C)):
         raise ValidationError("correlation matrix holds NaN or infinite entries")
 
-    # Imported here, as in correlation_matrix, so that commands that
-    # never extract factors do not load SciPy.
     from scipy.linalg import eigh
 
     h2 = _initial_communalities(C)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,16 @@ class TestExtractUls:
             extract_uls(corr, 4)
         with pytest.raises(ValidationError):
             extract_uls(corr, 1, tol=0.0)
+
+    def test_nearly_singular_start_does_not_warn(self):
+        # 5 reviews and 8 terms: phi has rank 4 at most, so the inverse
+        # behind the SMC start is numerically meaningless but exists
+        dense = random_binary(np.random.default_rng(3), 5, 8, density=0.5)
+        corr = correlation_matrix(from_dense(dense))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = extract_uls(corr, 2)
+        assert np.all(np.isfinite(model.loadings))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
