@@ -252,13 +252,12 @@ def varimax_criterion(loadings: np.ndarray) -> float:
 
 def varimax_rotate(
     loadings: np.ndarray,
-    kaiser_normalize: bool = True,
     tol: float = 1e-10,
     max_sweeps: int = 100,
 ) -> VarimaxResult:
     """Orthogonal Varimax rotation by pairwise planar rotations.
 
-    With ``kaiser_normalize`` the rows are scaled to unit length for the
+    The rows are scaled to unit length (Kaiser normalization) for the
     sweeps and the final pattern is rebuilt from the accumulated
     rotation, so ``result.loadings == loadings @ result.rotation`` holds
     bitwise. Factors are reordered by descending sum of squared rotated
@@ -293,12 +292,9 @@ def varimax_rotate(
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be at least 1")
 
-    if kaiser_normalize:
-        norms = np.sqrt(np.sum(L0 * L0, axis=1))
-        norms[norms == 0.0] = 1.0
-        W = L0 / norms[:, None]
-    else:
-        W = L0.copy()
+    norms = np.sqrt(np.sum(L0 * L0, axis=1))
+    norms[norms == 0.0] = 1.0
+    W = L0 / norms[:, None]
 
     # Factor-major working copies: row j is column j of W or T.
     Wt, Tt = W.T.copy(), np.eye(k)

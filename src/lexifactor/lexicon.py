@@ -158,6 +158,13 @@ class TermDictionary:
             return '{\n  "terms": []\n}\n'
         return '{\n  "terms": [\n' + ",\n".join(records) + "\n  ]\n}\n"
 
+    @staticmethod
+    def count_json_terms(data: bytes) -> int:
+        """Terms in ``dictionary.json`` bytes from :meth:`to_json_text`,
+        counted without decoding: one ``"term"`` key line per record, and
+        no JSON string holds a raw newline."""
+        return data.count(b'\n      "term": ')
+
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TermDictionary":
         try:

@@ -6,17 +6,20 @@ its inputs from there (or from the configured input files). Within one
 ``pipeline`` command the stages also hand each other their inputs in
 memory (see :class:`Handoff`): the ingested reviews, the term
 dictionary and the dict stage's per-review lemmas. The run then reads
-the corpus once, tokenizes it once and reads no artifact back, and
-writes the same bytes as the stages run one by one: a lone ``matrix``
-stage makes the dict stage's lexical pass again, with the same
-stopwords. Every artifact is encoded once and written crash-safely.
-The manifest records, per stage, artifact checksums and basic counts
-plus the config snapshot; timestamps, thread counts, and directory
-locations stay out so that reruns yield byte-identical artifacts.
+the corpus once and tokenizes it once. Besides the manifest it reads
+back two artifacts only: ``filtered.mtx`` in the efa and report stages
+and ``loading_table.json`` in the report stage. It writes the same
+bytes as the stages run one by one: a lone ``matrix`` stage makes the
+dict stage's lexical pass again, with the same stopwords. Every
+artifact is encoded once and written crash-safely. The manifest
+records, per stage, artifact checksums and basic counts plus the
+config snapshot; timestamps, thread counts, and directory locations
+stay out so that reruns yield byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -83,7 +86,6 @@ STAGE_ARTIFACTS = {
 }
 
 MANIFEST_NAME = "manifest.json"
-LOCK_NAME = ".lock"
 
 _LOG = logging.getLogger("lexifactor")
 
@@ -130,49 +132,18 @@ def _sha256(path: Path) -> str:
 
 @contextmanager
 def _run_lock(out: Path) -> Iterator[None]:
-    """Advisory lock: refuse to run while another live process holds the dir.
-
-    The lock file records its holder's pid. A lock left by a holder that
-    has exited, say a killed run, is taken over. Two runs that find the
-    same stale lock at the same moment may both take it: the lock guards
-    against a forgotten run, not against racing starts.
-    """
-    lock_path = out / LOCK_NAME
-    for attempt in range(2):
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _lock_is_stale(lock_path):
-                raise StageError(f"lock file exists (another run in progress?): {lock_path}") from None
-            _LOG.warning("taking over a lock whose holder has exited: %s", lock_path)
-            lock_path.unlink(missing_ok=True)
+    """Refuse to run while another process holds ``out``: an advisory
+    ``flock`` on the directory itself, so no file is made for it, which
+    the kernel releases when its holder exits, killed or not."""
+    fd = os.open(out, os.O_RDONLY)
     try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StageError(f"output directory is locked by another run: {out}") from None
         yield
     finally:
-        lock_path.unlink(missing_ok=True)
-
-
-def _lock_is_stale(lock_path: Path) -> bool:
-    """Whether the process a lock file names has exited. A lock whose pid
-    cannot be read counts as held: its holder may not have written it yet."""
-    try:
-        pid = int(lock_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return True  # released since the caller found it
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:  # os.kill would signal a process group
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):
-        pass  # a process of another user, or no pid at all: leave it be
-    return False
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +482,7 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     dict_path = config.out / "dictionary.json"
     expected = _count("dict", "terms")
     if expected is not None and dict_path.is_file():
-        # The writer's term key lines; no JSON string holds a raw newline.
-        actual = dict_path.read_bytes().count(b'\n      "term": ')
+        actual = TermDictionary.count_json_terms(dict_path.read_bytes())
         if actual != expected:
             problems.append(f"dict: manifest says {expected} terms, file lists {actual}")
 

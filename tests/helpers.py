@@ -195,7 +195,6 @@ def reference_build_matrix(reviews, dictionary, lexicon, stopwords) -> DocTermMa
 
 def reference_varimax_rotate(
     loadings: np.ndarray,
-    kaiser_normalize: bool = True,
     tol: float = 1e-10,
     max_sweeps: int = 100,
 ) -> VarimaxResult:
@@ -207,12 +206,9 @@ def reference_varimax_rotate(
     """
     L0 = np.array(loadings, dtype=np.float64)
     p, k = L0.shape
-    if kaiser_normalize:
-        norms = np.sqrt(np.sum(L0 * L0, axis=1))
-        norms[norms == 0.0] = 1.0
-        W = L0 / norms[:, None]
-    else:
-        W = L0.copy()
+    norms = np.sqrt(np.sum(L0 * L0, axis=1))
+    norms[norms == 0.0] = 1.0
+    W = L0 / norms[:, None]
 
     T = np.eye(k)
     history = [varimax_criterion(W)]

@@ -72,7 +72,10 @@ model_payloads = st.fixed_dictionaries(
 def test_dictionary_text_equals_json_dumps(payload):
     dictionary = TermDictionary.from_json_dict(payload)
     assert dictionary.to_json_dict() == payload
-    assert dictionary.to_json_text() == reference(payload)
+    text = dictionary.to_json_text()
+    assert text == reference(payload)
+    data = text.encode("utf-8", "surrogatepass")  # the texts include lone surrogates
+    assert TermDictionary.count_json_terms(data) == len(payload["terms"])
 
 
 @given(payload=model_payloads)

@@ -1,4 +1,5 @@
 import csv
+import fcntl
 import json
 import logging
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -120,12 +122,30 @@ def count_tokenize_calls(monkeypatch) -> Counter:
     return calls
 
 
+@contextmanager
+def held_lock(out):
+    """Hold the run lock on ``out``; raises ``BlockingIOError`` at once
+    if a run holds it."""
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+# Takes the run lock on the directory in argv[1], says so, and waits.
+HOLD_LOCK = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_RDONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+time.sleep(600)
+"""
+
+
 def artifact_bytes(out):
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(out.iterdir())
-        if path.is_file() and path.name != ".lock"
-    }
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.is_file()}
 
 
 class TestEndToEnd:
@@ -150,8 +170,7 @@ class TestEndToEnd:
             "report.json",
             "manifest.json",
         }
-        assert expected <= {p.name for p in out.iterdir()}
-        assert not (out / ".lock").exists()
+        assert {p.name for p in out.iterdir()} == expected  # no lock or temporary file left
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["factors"] == "fixed:2"
@@ -527,21 +546,36 @@ class TestExitCodes:
     def test_lock_contention(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        # The holder is this test's own process, which is alive.
-        (out / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
-        assert run_pipeline(corpus, lexicon_dir, out) == 2
-        assert "lock" in capsys.readouterr().err
-        (out / ".lock").unlink()
+        with held_lock(out):
+            assert run_pipeline(corpus, lexicon_dir, out) == 2
+            assert main(["ingest", "--input", str(corpus), "--output-dir", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and all("lock" in line for line in err)
         assert run_pipeline(corpus, lexicon_dir, out) == 0
 
     def test_lock_of_an_exited_process_is_taken_over(self, corpus, lexicon_dir, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        assert child.wait(timeout=60) == 0
-        (out / ".lock").write_text(f"{child.pid}\n", encoding="utf-8")
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_LOCK, str(out)], stdout=subprocess.PIPE, text=True
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            assert run_pipeline(corpus, lexicon_dir, out) == 2
+        finally:
+            holder.kill()  # SIGKILL: the holder cannot release the lock itself
+            holder.wait(timeout=60)
+            holder.stdout.close()
         assert run_pipeline(corpus, lexicon_dir, out) == 0
-        assert not (out / ".lock").exists()
+        assert main(["verify", "--output-dir", str(out)]) == 0
+
+    def test_old_lock_file_naming_a_live_pid_does_not_block(self, corpus, lexicon_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        # Written the way earlier versions locked: a pid file, here naming a
+        # live process that is no run of this directory.
+        (out / ".lock").write_text(f"{os.getpid()}\n", encoding="utf-8")
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
         assert main(["verify", "--output-dir", str(out)]) == 0
 
     def test_unwritable_output_is_io_error(self, corpus, lexicon_dir, tmp_path):
@@ -666,7 +700,8 @@ class TestDirectApi:
         )
         with pytest.raises(StageError):
             cmd_pipeline(config)
-        assert not (out / ".lock").exists()
+        with held_lock(out):  # raises BlockingIOError if the run kept the lock
+            pass
 
 
 def test_module_entry_point_reports_version():
