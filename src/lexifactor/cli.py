@@ -94,6 +94,11 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE
+    except UnicodeDecodeError as exc:
+        # The error names no file, and its offset counts from the start of
+        # the chunk a reader decoded, not of the file, so neither is shown.
+        print(f"error: input is not UTF-8 text ({exc.reason})", file=sys.stderr)
+        return EXIT_STAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

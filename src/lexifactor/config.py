@@ -98,6 +98,8 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"config file is not UTF-8 text: {path}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

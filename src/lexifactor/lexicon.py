@@ -72,32 +72,16 @@ class Lexicon:
 
     ``entries`` maps ``(lemma, pos)`` to the set of senses the lemma
     participates in; ``exceptions`` maps irregular ``(inflected, pos)``
-    forms to their base lemma; ``antonym_pairs`` holds unordered pairs
-    of senses connected by an antonym pointer.
+    forms to their base lemma; ``antonyms`` maps each sense to the
+    senses an antonym pointer connects it with, in either direction.
     """
 
     entries: dict[tuple[str, str], frozenset[SenseId]]
     exceptions: dict[tuple[str, str], str]
-    antonym_pairs: frozenset[frozenset[SenseId]] = frozenset()
-    _antonym_index: dict[SenseId, frozenset[SenseId]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    antonyms: dict[SenseId, frozenset[SenseId]] = field(default_factory=dict)
 
     def senses(self, lemma: str, pos: str) -> frozenset[SenseId]:
         return self.entries.get((lemma, pos), frozenset())
-
-    def antonym_index(self) -> dict[SenseId, frozenset[SenseId]]:
-        """Map each sense to the senses it is antonym-paired with."""
-        if self._antonym_index is None:
-            index: dict[SenseId, set[SenseId]] = {}
-            for pair in self.antonym_pairs:
-                members = tuple(pair)
-                # A frozenset pair has two members unless it is degenerate.
-                for sense in members:
-                    others = {m for m in members if m != sense}
-                    index.setdefault(sense, set()).update(others)
-            self._antonym_index = {k: frozenset(v) for k, v in index.items()}
-        return self._antonym_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,24 +104,11 @@ class TermDictionary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "term": term,
-                    "pos": self.provenance[term].pos,
-                    "doc_freq": self.provenance[term].doc_freq,
-                    "sense_ids": [[pos, offset] for pos, offset in self.provenance[term].sense_ids],
-                }
-                for term in self.terms
-            ]
-        }
-
     def to_json_text(self) -> str:
-        """``dictionary.json``: the text that ``json.dump`` writes for
-        :meth:`to_json_dict` with ``indent=2, sort_keys=True,
-        ensure_ascii=False``, plus a newline, built from one template per
-        term instead of through the pure-Python encoder."""
+        """``dictionary.json``: the text that ``json.dump`` writes with
+        ``indent=2, sort_keys=True, ensure_ascii=False``, plus a newline,
+        for the payload :meth:`from_json_dict` reads, built from one
+        template per term instead of through the pure-Python encoder."""
         records = []
         for term in self.terms:
             entry = self.provenance[term]
@@ -320,7 +291,7 @@ def parse_lexical_database(root: str | Path) -> Lexicon:
                     f"index entry {lemma!r} references unknown {pos} synset {offset:08d}",
                     path=str(root),
                 )
-    pairs: set[frozenset[SenseId]] = set()
+    antonyms: dict[SenseId, set[SenseId]] = {}
     for source, target in noun_pairs + adj_pairs:
         if target[1] not in known[target[0]]:
             raise ParseError(
@@ -328,13 +299,18 @@ def parse_lexical_database(root: str | Path) -> Lexicon:
                 f"references unknown {target[0]} synset {target[1]:08d}",
                 path=str(root),
             )
-        pairs.add(frozenset((source, target)))
+        antonyms.setdefault(source, set()).add(target)
+        antonyms.setdefault(target, set()).add(source)
 
     exceptions: dict[tuple[str, str], str] = {}
     exceptions.update(_parse_exceptions(root / "noun.exc", "noun", entries))
     exceptions.update(_parse_exceptions(root / "adj.exc", "adj", entries))
 
-    return Lexicon(entries=entries, exceptions=exceptions, antonym_pairs=frozenset(pairs))
+    return Lexicon(
+        entries=entries,
+        exceptions=exceptions,
+        antonyms={sense: frozenset(others) for sense, others in antonyms.items()},
+    )
 
 
 def lemmatize(lexicon: Lexicon, token: str, pos: str) -> str | None:
@@ -440,7 +416,6 @@ def build_dictionary(
     lemmas = (ReviewLemmas() if lemmas is None else lemmas).read(reviews, lexicon, stopwords)
     doc_freq = np.bincount(lemmas.ids, minlength=len(lemmas.vocabulary)).tolist()
     ranked = sorted(zip(lemmas.vocabulary, doc_freq), key=lambda item: (-item[1], item[0]))
-    antonym_index = lexicon.antonym_index()
 
     claimed: set[SenseId] = set()
     blocked: set[SenseId] = set()
@@ -454,7 +429,7 @@ def build_dictionary(
         terms.append(lemma)
         claimed.update(senses)
         for sense in senses:
-            blocked.update(antonym_index.get(sense, frozenset()))
+            blocked.update(lexicon.antonyms.get(sense, ()))
         provenance[lemma] = TermProvenance(pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq)
 
     if not terms:

@@ -111,7 +111,37 @@ def _require_input(path: str | None, what: str) -> Path:
 
 def _write_json(path: Path, payload: Any) -> None:
     """``payload`` as indented JSON with sorted keys, crash-safely."""
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    write_text(path, _json_text(payload) + "\n")
+
+
+def _json_text(value: Any, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes it, nested at ``indent``; dict keys must
+    be strings. A list of floats, such as a row of loadings, is joined in
+    one call instead of going item by item through the pure-Python
+    encoder that ``json.dumps`` uses when it indents."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        text = (",\n" + inner).join(items)
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        try:
+            text = (",\n" + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item is no float
+            text = (",\n" + inner).join([_json_text(item, inner) for item in value])
+        else:
+            # Only the reprs nan, inf and -inf hold an "n".
+            if "n" in text:
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    else:
+        return json.dumps(value)  # a number, a bool or None
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}{text}\n{indent}{brackets[1]}"
 
 
 def _read_json(path: Path) -> Any:
@@ -170,52 +200,6 @@ def model_payload(
         "rotation_sweeps": rotation.sweeps,
         "rotation_converged": rotation.converged,
     }
-
-
-_MODEL_VECTORS = ("communalities", "eigenvalues", "uniquenesses")
-_MODEL_MATRICES = ("loadings", "rotated", "rotation")
-
-
-def model_json(payload: dict) -> str:
-    """The text of ``model.json`` for a :func:`model_payload` payload:
-    what ``json.dump`` writes with ``indent=2, sort_keys=True,
-    ensure_ascii=False``, plus a newline. The float vectors and matrices
-    are joined row by row instead of going through the pure-Python
-    encoder; every other value is small and goes through ``json``."""
-    fields = []
-    for key in sorted(payload):
-        value = payload[key]
-        if key in _MODEL_MATRICES:
-            text = _float_rows(value, "  ")
-        elif key in _MODEL_VECTORS:
-            text = _float_list(value, "  ")
-        else:
-            text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-            text = text.replace("\n", "\n  ")
-        fields.append(f"  {encode_basestring(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
-
-
-def _float_list(values: list[float], indent: str) -> str:
-    """A list of floats as ``json.dumps(indent=2)`` writes it at ``indent``."""
-    if not values:
-        return "[]"
-    inner = indent + "  "
-    text = (",\n" + inner).join(map(float.__repr__, values))
-    # Only the reprs nan, inf and -inf hold an "n"; json spells them
-    # NaN, Infinity and -Infinity.
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return f"[\n{inner}{text}\n{indent}]"
-
-
-def _float_rows(rows: list[list[float]], indent: str) -> str:
-    """A list of float lists as ``json.dumps(indent=2)`` writes it at ``indent``."""
-    if not rows:
-        return "[]"
-    inner = indent + "  "
-    text = (",\n" + inner).join([_float_list(row, inner) for row in rows])
-    return f"[\n{inner}{text}\n{indent}]"
 
 
 def table_payload(table: LoadingTable) -> dict:
@@ -340,8 +324,7 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     table = prune_loadings(rotation.loadings, config.threshold, corr.terms)
     refined = refine_factors(table, config.retain)
 
-    payload = model_payload(model, eigenvalues, rotation, corr.terms)
-    write_text(config.out / "model.json", model_json(payload))
+    _write_json(config.out / "model.json", model_payload(model, eigenvalues, rotation, corr.terms))
     _write_json(config.out / "loading_table.json", table_payload(refined))
     write_loadings_csv(rotation.loadings, corr.terms, refined, config.out / "loadings.csv")
     return {"factors_extracted": model.k, "factors_retained": len(refined.factors)}
@@ -396,12 +379,27 @@ def _fresh_manifest(config: PipelineConfig) -> dict:
     return {"version": __version__, "config": config.snapshot(), "stages": {}}
 
 
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``: an object whose ``stages`` map each
+    recorded stage to its ``artifacts`` and ``counts`` objects."""
+    manifest = _read_json(path)
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("artifacts"), dict)
+        and isinstance(entry.get("counts"), dict)
+        for entry in stages.values()
+    ):
+        raise ParseError("not a run manifest: stages must map to artifacts and counts objects", path=str(path))
+    return manifest
+
+
 def _update_manifest(config: PipelineConfig, stage: str, counts: dict) -> None:
     """Record ``stage``'s artifacts. When they differ from the recorded
     ones, the later stages' entries are dropped: those stages consumed
     the old artifacts, so their own are stale until they run again."""
     path = _manifest_path(config)
-    manifest = _read_json(path) if path.is_file() else _fresh_manifest(config)
+    manifest = _read_manifest(path) if path.is_file() else _fresh_manifest(config)
     if manifest.get("config") != config.snapshot():
         raise StageError(
             "output directory holds artifacts from a different configuration; "
@@ -448,12 +446,11 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     manifest_path = _manifest_path(config)
     if not manifest_path.is_file():
         raise DependencyError(str(manifest_path))
-    manifest = _read_json(manifest_path)
+    stages = _read_manifest(manifest_path)["stages"]
     problems: list[str] = []
 
-    stages = manifest.get("stages", {})
     for stage, entry in stages.items():
-        for name, recorded in entry.get("artifacts", {}).items():
+        for name, recorded in entry["artifacts"].items():
             path = config.out / name
             if not path.is_file():
                 problems.append(f"{stage}: missing artifact {name}")
@@ -496,7 +493,7 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     table_path = config.out / "loading_table.json"
     expected = _count("efa", "factors_retained")
     if expected is not None and table_path.is_file():
-        actual = len(_read_json(table_path).get("factors", []))
+        actual = len(table_from_payload(_read_json(table_path)).factors)
         if actual != expected:
             problems.append(f"efa: manifest says {expected} factors, table lists {actual}")
 

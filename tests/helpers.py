@@ -153,7 +153,6 @@ def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
     doc_freq = Counter()
     for review in reviews:
         doc_freq.update(reference_document_lemmas(lexicon, review, stopwords))
-    antonym_index = lexicon.antonym_index()
     claimed, blocked, terms, provenance = set(), set(), [], {}
     for lemma, freq in sorted(doc_freq.items(), key=lambda item: (-item[1], item[0])):
         pos = "noun" if (lemma, "noun") in lexicon.entries else "adj"
@@ -163,7 +162,7 @@ def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
         terms.append(lemma)
         claimed.update(senses)
         for sense in senses:
-            blocked.update(antonym_index.get(sense, frozenset()))
+            blocked.update(lexicon.antonyms.get(sense, ()))
         provenance[lemma] = TermProvenance(pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq)
     if not terms:
         raise EmptyDictionaryError("no candidate terms survived dictionary construction")

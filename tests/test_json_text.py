@@ -1,9 +1,10 @@
-"""The schema-aware JSON emitters write exactly what ``json.dumps`` writes.
+"""The JSON emitters write exactly what ``json.dumps`` writes.
 
-``dictionary.json`` and ``model.json`` are encoded from templates and
-float-row joins instead of ``json.dump``; on any payload of their schema
-the text must equal ``json.dumps(payload, indent=2, sort_keys=True,
-ensure_ascii=False)`` plus a newline.
+``dictionary.json`` is encoded from a per-term template, and every other
+sorted-key artifact (``model.json`` among them) by ``_json_text``, which
+joins float lists in one call; on any payload the text must equal
+``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
+(plus a newline for a whole artifact).
 """
 
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifactor import TermDictionary
-from lexifactor.pipeline import model_json
+from lexifactor.pipeline import _json_text
 
 
 def reference(payload) -> str:
@@ -32,8 +33,6 @@ floats = st.one_of(
         [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
     ),
 )
-vectors = st.lists(floats, max_size=4)
-matrices = st.lists(vectors, max_size=3)
 
 dictionary_payloads = st.lists(
     st.fixed_dictionaries(
@@ -48,22 +47,16 @@ dictionary_payloads = st.lists(
     unique_by=lambda record: record["term"],
 ).map(lambda records: {"terms": records})
 
-model_payloads = st.fixed_dictionaries(
-    {
-        "k": ints,
-        "terms": st.lists(texts, max_size=4),
-        "loadings": matrices,
-        "communalities": vectors,
-        "uniquenesses": vectors,
-        "eigenvalues": vectors,
-        "rotation": matrices,
-        "rotated": matrices,
-        "converged": st.booleans(),
-        "n_iter": ints,
-        "heywood": st.booleans(),
-        "rotation_sweeps": ints,
-        "rotation_converged": st.booleans(),
-    }
+# Any JSON value with text keys: scalars, text-keyed dicts and lists,
+# with lists of floats (the encoder's one-call path) drawn often.
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), ints, floats, texts),
+    lambda children: st.one_of(
+        st.lists(floats, max_size=4),
+        st.lists(children, max_size=4),
+        st.dictionaries(texts, children, max_size=4),
+    ),
+    max_leaves=20,
 )
 
 
@@ -71,20 +64,20 @@ model_payloads = st.fixed_dictionaries(
 @settings(max_examples=200, deadline=None)
 def test_dictionary_text_equals_json_dumps(payload):
     dictionary = TermDictionary.from_json_dict(payload)
-    assert dictionary.to_json_dict() == payload
     text = dictionary.to_json_text()
     assert text == reference(payload)
     data = text.encode("utf-8", "surrogatepass")  # the texts include lone surrogates
     assert TermDictionary.count_json_terms(data) == len(payload["terms"])
 
 
-@given(payload=model_payloads)
-@settings(max_examples=200, deadline=None)
-def test_model_text_equals_json_dumps(payload):
-    assert model_json(payload) == reference(payload)
+@given(value=json_values)
+@settings(max_examples=300, deadline=None)
+def test_json_text_equals_json_dumps(value):
+    assert _json_text(value) + "\n" == reference(value)
 
 
 def test_non_finite_floats_are_spelled_as_json_spells_them():
-    payload = {"eigenvalues": [float("nan"), float("inf"), float("-inf"), -0.0], "k": 0}
-    assert model_json(payload) == reference(payload)
-    assert "NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n" in model_json(payload)
+    payload = {"eigenvalues": [float("nan"), float("inf"), float("-inf"), -0.0], "k": float("nan")}
+    assert _json_text(payload) + "\n" == reference(payload)
+    assert "NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n" in _json_text(payload)
+    assert '"k": NaN' in _json_text(payload)

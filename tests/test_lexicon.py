@@ -1,3 +1,6 @@
+import json
+import shutil
+
 import pytest
 
 import wordnet_fixture as fx
@@ -36,16 +39,25 @@ class TestParseLexicalDatabase:
         assert lexicon.senses("good", "adj") == frozenset({("adj", 100)})
 
     def test_antonym_pairs(self, lexicon):
-        expected = {frozenset({("noun", 500), ("noun", 600)})}
-        expected |= {
-            frozenset({("adj", a), ("adj", b)}) for a, b in fx.ADJ_ANTONYMS
-        }
-        assert set(lexicon.antonym_pairs) == expected
+        pairs = [("noun", a, b) for a, b in fx.NOUN_ANTONYMS]
+        pairs += [("adj", a, b) for a, b in fx.ADJ_ANTONYMS]
+        expected = {}
+        for pos, a, b in pairs:
+            expected.setdefault((pos, a), set()).add((pos, b))
+            expected.setdefault((pos, b), set()).add((pos, a))
+        assert lexicon.antonyms == {sense: frozenset(others) for sense, others in expected.items()}
 
-    def test_antonym_index_is_symmetric(self, lexicon):
-        index = lexicon.antonym_index()
-        assert ("noun", 600) in index[("noun", 500)]
-        assert ("noun", 500) in index[("noun", 600)]
+    def test_antonym_index_is_symmetric(self, lexicon, lexicon_dir, tmp_path):
+        # A pointer listed in one direction only connects both senses, so
+        # dropping loss's pointer to profit leaves the map as it was.
+        root = shutil.copytree(lexicon_dir, tmp_path / "lexicon")
+        text = (root / "data.noun").read_text(encoding="utf-8")
+        one_way = text.replace("loss 0 002 ! 00000500 n 0000 ", "loss 0 001 ", 1)
+        assert one_way != text
+        (root / "data.noun").write_text(one_way, encoding="utf-8")
+        antonyms = parse_lexical_database(root).antonyms
+        assert antonyms[("noun", 600)] == frozenset({("noun", 500)})
+        assert antonyms == lexicon.antonyms
 
     def test_exceptions_keep_first_known_base(self, lexicon):
         assert lexicon.exceptions[("children", "noun")] == "child"
@@ -250,8 +262,7 @@ class TestBuildDictionary:
         dictionary = build_dictionary(
             _reviews(["suite ticket", "good noise"]), lexicon, stopwords
         )
-        payload = dictionary.to_json_dict()
-        restored = TermDictionary.from_json_dict(payload)
+        restored = TermDictionary.from_json_dict(json.loads(dictionary.to_json_text()))
         assert restored.terms == dictionary.terms
         assert restored.index == dictionary.index
         assert restored.provenance == dictionary.provenance

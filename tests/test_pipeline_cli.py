@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -58,6 +59,29 @@ def write_corpus(path, n_docs=60, seed=3, filler=VOCAB_FILLER):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     return write_corpus(tmp_path_factory.mktemp("corpus") / "reviews.jsonl")
+
+
+@pytest.fixture(scope="module")
+def finished_run(corpus, lexicon_dir, tmp_path_factory):
+    """An output directory of one full pipeline run, to copy, not to change."""
+    out = tmp_path_factory.mktemp("finished") / "out"
+    assert run_pipeline(corpus, lexicon_dir, out) == 0
+    return out
+
+
+def run_command(command, corpus, lexicon_dir, out):
+    """Run ``command`` as :func:`run_stages` runs a stage; ``verify``
+    takes the output directory only."""
+    args = [command, "--output-dir", str(out)]
+    if command != "verify":
+        args += ["--input", str(corpus), "--lexicon-dir", str(lexicon_dir), "--factors", "fixed:2"]
+    return main(args)
+
+
+def _efa_counts_as_list(text):
+    manifest = json.loads(text)
+    manifest["stages"]["efa"]["counts"] = [1]
+    return json.dumps(manifest)
 
 
 def run_stages(corpus, lexicon_dir, out, extra=()):
@@ -412,6 +436,12 @@ class TestConfigHandling:
         config_file.write_text("threshold 0.3\n", encoding="utf-8")
         assert main(["pipeline", "--config", str(config_file)]) == 1
 
+    def test_config_file_that_is_not_utf8_is_validation_error(self, tmp_path, capsys):
+        config_file = tmp_path / "run.conf"
+        config_file.write_bytes(b"factors = fixed:2\xff\n")
+        assert main(["pipeline", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == f"error: config file is not UTF-8 text: {config_file}\n"
+
     def test_stage_with_different_config_refused(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_pipeline(corpus, lexicon_dir, out) == 0
@@ -542,6 +572,49 @@ class TestExitCodes:
         run_pipeline(corpus, lexicon_dir, out)
         assert main(["verify", "--output-dir", str(out)]) == 0
         assert "verify: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, name, edit",
+        [
+            ("verify", "manifest.json", lambda text: "[1]"),
+            ("report", "manifest.json", lambda text: "[1]"),
+            ("verify", "loading_table.json", lambda text: "[]"),
+            ("verify", "manifest.json", _efa_counts_as_list),
+        ],
+        ids=["verify-manifest-list", "report-manifest-list", "verify-table-list", "verify-counts-list"],
+    )
+    def test_wrong_shape_json_is_stage_error(
+        self, command, name, edit, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert run_command(command, corpus, lexicon_dir, out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["ingest", "dict", "report", "verify"])
+    def test_input_that_is_not_utf8_is_stage_error(
+        self, command, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        """One file per reader family gets a \\xff byte before its final
+        newline: the corpus, a lexicon file, a matrix sidecar, a JSON artifact."""
+        corpus = shutil.copy(corpus, tmp_path)
+        lexicon_dir = shutil.copytree(lexicon_dir, tmp_path / "lexicon")
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = {
+            "ingest": corpus,
+            "dict": lexicon_dir / "index.noun",
+            "report": out / "filtered.terms.txt",
+            "verify": out / "manifest.json",
+        }[command]
+        with open(path, "rb+") as handle:
+            handle.seek(-1, os.SEEK_END)
+            handle.write(b"\xff\n")
+        capsys.readouterr()
+        assert run_command(command, corpus, lexicon_dir, out) == 2
+        assert capsys.readouterr().err == "error: input is not UTF-8 text (invalid start byte)\n"
 
     def test_lock_contention(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
