@@ -1,0 +1,340 @@
+"""The output directory's bookkeeping, in the standard library alone.
+
+This module holds the stage names and the artifacts each stage writes,
+the sorted-key JSON encoder, checksums, the run manifest and
+:func:`cmd_verify`, with the records of every format ``verify`` reads:
+the loading table, the term dictionary and the Matrix Market header and
+size line. The numeric layers import these formats from here, so each
+is written and parsed in one place, and ``verify`` and ``--version``
+start without loading NumPy or the pipeline's stages.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass
+from json.encoder import encode_basestring
+from pathlib import Path
+from typing import Any, Iterable
+
+from .atomic import write_text
+from .config import PipelineConfig
+from .errors import DependencyError, ParseError, named_decode_errors
+
+STAGES = ("ingest", "dict", "matrix", "efa", "report")
+
+STAGE_ARTIFACTS = {
+    "ingest": ("reviews.jsonl",),
+    "dict": ("dictionary.json",),
+    "matrix": (
+        "matrix.mtx",
+        "matrix.terms.txt",
+        "matrix.docs.txt",
+        "filtered.mtx",
+        "filtered.terms.txt",
+        "filtered.docs.txt",
+        "filter_report.json",
+    ),
+    "efa": ("model.json", "loading_table.json", "loadings.csv"),
+    "report": ("report.md", "report.json"),
+}
+
+MANIFEST_NAME = "manifest.json"
+
+MATRIX_MARKET_HEADER = "%%MatrixMarket matrix coordinate pattern general"
+
+# A sense is one synset of one part of speech, e.g. ("noun", 2084442).
+SenseId = tuple[str, int]
+
+
+# ---------------------------------------------------------------------------
+# JSON and checksums
+
+
+def _write_json(path: Path, payload: Any) -> None:
+    """``payload`` as indented JSON with sorted keys, crash-safely."""
+    write_text(path, _json_text(payload) + "\n")
+
+
+def _json_text(value: Any, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes it, nested at ``indent``; dict keys must
+    be strings. A list of floats, such as a row of loadings, is joined in
+    one call instead of going item by item through the pure-Python
+    encoder that ``json.dumps`` uses when it indents."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        text = (",\n" + inner).join(items)
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        try:
+            text = (",\n" + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item is no float
+            text = (",\n" + inner).join([_json_text(item, inner) for item in value])
+        else:
+            # Only the reprs nan, inf and -inf hold an "n".
+            if "n" in text:
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    else:
+        return json.dumps(value)  # a number, a bool or None
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}{text}\n{indent}{brackets[1]}"
+
+
+def _read_json(path: Path) -> Any:
+    with named_decode_errors(path), open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# loading_table.json
+
+
+@dataclass(frozen=True)
+class FactorLoadings:
+    """One factor's retained terms, ordered by descending |loading|."""
+
+    factor: int  # 1-based
+    entries: tuple[tuple[str, float], ...]
+
+    @property
+    def top_value(self) -> float:
+        """Strength of the factor's best word; -1.0 when nothing survived."""
+        return abs(self.entries[0][1]) if self.entries else -1.0
+
+
+@dataclass
+class LoadingTable:
+    factors: tuple[FactorLoadings, ...]
+    threshold: float
+
+
+def table_payload(table: LoadingTable) -> dict:
+    return {
+        "threshold": table.threshold,
+        "factors": [
+            {"factor": factor.factor, "entries": [[term, value] for term, value in factor.entries]}
+            for factor in table.factors
+        ],
+    }
+
+
+def table_from_payload(payload: dict, path: str | Path) -> LoadingTable:
+    """The table that ``payload``, read from ``path``, holds."""
+    try:
+        factors = tuple(
+            FactorLoadings(
+                factor=int(record["factor"]),
+                entries=tuple((term, float(value)) for term, value in record["entries"]),
+            )
+            for record in payload["factors"]
+        )
+        return LoadingTable(factors=factors, threshold=float(payload["threshold"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed loading table payload: {exc}", path=str(path)) from exc
+
+
+# ---------------------------------------------------------------------------
+# dictionary.json
+
+
+@dataclass(frozen=True, slots=True)
+class TermProvenance:
+    """Why a term entered the dictionary: pos, claimed senses, frequency."""
+
+    pos: str
+    sense_ids: tuple[SenseId, ...]
+    doc_freq: int
+
+
+@dataclass
+class TermDictionary:
+    """Ordered term list with a reverse index and per-term provenance."""
+
+    terms: tuple[str, ...]
+    index: dict[str, int]
+    provenance: dict[str, TermProvenance]
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def to_json_text(self) -> str:
+        """``dictionary.json``: the text that ``json.dump`` writes with
+        ``indent=2, sort_keys=True, ensure_ascii=False``, plus a newline,
+        for the payload :meth:`from_json_dict` reads, built from one
+        template per term instead of through the pure-Python encoder."""
+        records = []
+        for term in self.terms:
+            entry = self.provenance[term]
+            senses = ",\n".join(
+                [
+                    f"        [\n          {encode_basestring(pos)},\n          {offset}\n        ]"
+                    for pos, offset in entry.sense_ids
+                ]
+            )
+            senses = f"[\n{senses}\n      ]" if senses else "[]"
+            records.append(
+                f'    {{\n      "doc_freq": {entry.doc_freq},\n'
+                f'      "pos": {encode_basestring(entry.pos)},\n'
+                f'      "sense_ids": {senses},\n'
+                f'      "term": {encode_basestring(term)}\n    }}'
+            )
+        if not records:
+            return '{\n  "terms": []\n}\n'
+        return '{\n  "terms": [\n' + ",\n".join(records) + "\n  ]\n}\n"
+
+    @staticmethod
+    def count_json_terms(data: bytes) -> int:
+        """Terms in ``dictionary.json`` bytes from :meth:`to_json_text`,
+        counted without decoding: one ``"term"`` key line per record, and
+        no JSON string holds a raw newline."""
+        return data.count(b'\n      "term": ')
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "TermDictionary":
+        try:
+            records = payload["terms"]
+            terms = tuple(record["term"] for record in records)
+            provenance = {
+                record["term"]: TermProvenance(
+                    pos=record["pos"],
+                    doc_freq=record["doc_freq"],
+                    sense_ids=tuple((pos, int(offset)) for pos, offset in record["sense_ids"]),
+                )
+                for record in records
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed dictionary payload: {exc}") from exc
+        return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, provenance=provenance)
+
+
+# ---------------------------------------------------------------------------
+# Matrix Market header and size line
+
+
+def read_matrix_size(mtx_path: str | Path) -> tuple[int, int, int]:
+    """The rows, columns and entries that the size line of ``mtx_path``
+    declares. The header is checked; sidecars and entries are not read."""
+    with open(mtx_path, encoding="utf-8", errors="replace") as handle:
+        return _parse_size(handle, str(mtx_path))[:3]
+
+
+def _parse_size(lines: Iterable[str], path: str) -> tuple[int, int, int, int]:
+    """Check the header line and parse the size line, which may follow
+    ``%`` comment and blank lines. Returns rows, columns, entries and the
+    size line's line number."""
+    lines = iter(lines)
+    header = next(lines, "").rstrip("\n")
+    if header.split() != MATRIX_MARKET_HEADER.split():
+        raise ParseError(f"unsupported Matrix Market header: {header!r}", path=path, line=1)
+    for lineno, size_line in enumerate(lines, start=2):
+        if not size_line.startswith("%") and size_line.strip():
+            break
+    else:
+        raise ParseError("missing size line", path=path)
+    try:
+        n_docs, n_terms, nnz = (int(x) for x in size_line.split())
+    except ValueError as exc:
+        raise ParseError(f"malformed size line: {size_line!r}", path=path, line=lineno) from exc
+    return n_docs, n_terms, nnz, lineno
+
+
+# ---------------------------------------------------------------------------
+# the manifest and verify
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``: an object whose ``stages`` map each
+    recorded stage to its ``artifacts`` and ``counts`` objects."""
+    manifest = _read_json(path)
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("artifacts"), dict)
+        and isinstance(entry.get("counts"), dict)
+        for entry in stages.values()
+    ):
+        raise ParseError("not a run manifest: stages must map to artifacts and counts objects", path=str(path))
+    return manifest
+
+
+def cmd_verify(config: PipelineConfig) -> list[str]:
+    """Check manifest checksums, lineage and basic cross-artifact consistency.
+
+    Lineage: every recorded stage's upstream stage is recorded too, and
+    no artifact of an unrecorded stage is left in the directory. Returns
+    a list of problems; empty means the output directory is internally
+    consistent.
+    """
+    manifest_path = config.out / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise DependencyError(str(manifest_path))
+    stages = _read_manifest(manifest_path)["stages"]
+    problems: list[str] = []
+
+    for stage, entry in stages.items():
+        for name, recorded in entry["artifacts"].items():
+            path = config.out / name
+            if not path.is_file():
+                problems.append(f"{stage}: missing artifact {name}")
+            elif _sha256(path) != recorded:
+                problems.append(f"{stage}: checksum mismatch for {name}")
+    for upstream, stage in zip(STAGES, STAGES[1:]):
+        if stage in stages and upstream not in stages:
+            problems.append(f"{stage}: upstream stage {upstream} is not recorded")
+    for stage in STAGES:
+        if stage not in stages:
+            for name in STAGE_ARTIFACTS[stage]:
+                if (config.out / name).is_file():
+                    problems.append(f"{stage}: stale artifact {name}, stage not recorded")
+
+    def _count(stage: str, key: str) -> int | None:
+        return stages.get(stage, {}).get("counts", {}).get(key)
+
+    reviews_path = config.out / "reviews.jsonl"
+    expected = _count("ingest", "reviews")
+    if expected is not None and reviews_path.is_file():
+        with named_decode_errors(reviews_path), open(reviews_path, encoding="utf-8") as handle:
+            actual = sum(1 for line in handle if line.strip())
+        if actual != expected:
+            problems.append(f"ingest: manifest says {expected} reviews, file has {actual}")
+
+    dict_path = config.out / "dictionary.json"
+    expected = _count("dict", "terms")
+    if expected is not None and dict_path.is_file():
+        actual = TermDictionary.count_json_terms(dict_path.read_bytes())
+        if actual != expected:
+            problems.append(f"dict: manifest says {expected} terms, file lists {actual}")
+
+    filtered_path = config.out / "filtered.mtx"
+    expected = _count("matrix", "kept_columns")
+    if expected is not None and filtered_path.is_file():
+        _, n_terms, _ = read_matrix_size(filtered_path)
+        if n_terms != expected:
+            problems.append(f"matrix: manifest says {expected} kept columns, matrix has {n_terms}")
+
+    table_path = config.out / "loading_table.json"
+    expected = _count("efa", "factors_retained")
+    if expected is not None and table_path.is_file():
+        actual = len(table_from_payload(_read_json(table_path), table_path).factors)
+        if actual != expected:
+            problems.append(f"efa: manifest says {expected} factors, table lists {actual}")
+
+    return problems

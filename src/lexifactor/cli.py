@@ -14,9 +14,9 @@ import sys
 from dataclasses import fields
 
 from . import __version__
+from .artifacts import STAGES, cmd_verify
 from .config import PipelineConfig, build_config
 from .errors import StageError, ValidationError
-from .pipeline import STAGES, cmd_pipeline, cmd_stage, cmd_verify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,6 +32,22 @@ _STAGE_HELP = {
     "efa": "extract, rotate, prune, and refine factors",
     "report": "render the factor report",
 }
+
+
+def cmd_pipeline(config: PipelineConfig) -> None:
+    """Run :func:`lexifactor.pipeline.cmd_pipeline`. The numeric layers are
+    imported here, when a command that computes runs, so ``verify``,
+    ``--version`` and argument errors start without NumPy."""
+    from . import pipeline
+
+    pipeline.cmd_pipeline(config)
+
+
+def cmd_stage(name: str, config: PipelineConfig) -> None:
+    """Run :func:`lexifactor.pipeline.cmd_stage`, imported as in :func:`cmd_pipeline`."""
+    from . import pipeline
+
+    pipeline.cmd_stage(name, config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,11 +109,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except UnicodeDecodeError as exc:
-        # The error names no file, and its offset counts from the start of
-        # the chunk a reader decoded, not of the file, so neither is shown.
-        print(f"error: input is not UTF-8 text ({exc.reason})", file=sys.stderr)
         return EXIT_STAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import FactorLoadings, LoadingTable
 from .errors import DegenerateColumnError, ValidationError
 from .matrix import DocTermMatrix, column_stats
 
@@ -51,25 +52,6 @@ class FactorModel:
     converged: bool
     n_iter: int
     heywood: bool
-
-
-@dataclass(frozen=True)
-class FactorLoadings:
-    """One factor's retained terms, ordered by descending |loading|."""
-
-    factor: int  # 1-based
-    entries: tuple[tuple[str, float], ...]
-
-    @property
-    def top_value(self) -> float:
-        """Strength of the factor's best word; -1.0 when nothing survived."""
-        return abs(self.entries[0][1]) if self.entries else -1.0
-
-
-@dataclass
-class LoadingTable:
-    factors: tuple[FactorLoadings, ...]
-    threshold: float
 
 
 class VarimaxResult(NamedTuple):

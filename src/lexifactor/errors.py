@@ -9,6 +9,10 @@ status 3.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
 
 class LexifactorError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,6 +43,17 @@ class ParseError(StageError):
         if path is not None:
             prefix = f"{path}:{line}: " if line is not None else f"{path}: "
         super().__init__(prefix + message)
+
+
+@contextmanager
+def named_decode_errors(path: str | Path) -> Iterator[None]:
+    """Turn a UTF-8 decode error in the block into a :class:`ParseError`
+    that names ``path``. The error's offset counts from the start of the
+    chunk a reader decoded, not of the file, so it is not shown."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from exc
 
 
 class SchemaError(ParseError):

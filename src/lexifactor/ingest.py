@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateIdError, ParseError, SchemaError, ValidationError
+from .errors import DuplicateIdError, ParseError, SchemaError, ValidationError, named_decode_errors
 
 # A token is a lowercase run of ASCII letters.
 Token = str
@@ -76,7 +76,7 @@ def _require_str(record: dict, field: str, *, path: str, line: int) -> str:
 
 def _load_jsonl(path: Path) -> list[Review]:
     reviews: list[Review] = []
-    with open(path, encoding="utf-8-sig") as handle:
+    with named_decode_errors(path), open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             stripped = raw.strip()
             if not stripped:
@@ -94,7 +94,7 @@ def _load_jsonl(path: Path) -> list[Review]:
 
 def _load_csv(path: Path) -> list[Review]:
     reviews: list[Review] = []
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with named_decode_errors(path), open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -25,17 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptyDictionaryError, ParseError, ValidationError
+from .artifacts import SenseId, TermDictionary, TermProvenance
+from .errors import EmptyDictionaryError, ParseError, ValidationError, named_decode_errors
 from .ingest import Review, Token, tokenize
-
-# A sense is one synset of one part of speech, e.g. ("noun", 2084442).
-SenseId = tuple[str, int]
 
 _POS_FROM_TAG = {"n": "noun", "a": "adj", "s": "adj"}
 _ALPHA_RE = re.compile(r"^[a-z]+$")
@@ -84,76 +81,6 @@ class Lexicon:
         return self.entries.get((lemma, pos), frozenset())
 
 
-@dataclass(frozen=True, slots=True)
-class TermProvenance:
-    """Why a term entered the dictionary: pos, claimed senses, frequency."""
-
-    pos: str
-    sense_ids: tuple[SenseId, ...]
-    doc_freq: int
-
-
-@dataclass
-class TermDictionary:
-    """Ordered term list with a reverse index and per-term provenance."""
-
-    terms: tuple[str, ...]
-    index: dict[str, int]
-    provenance: dict[str, TermProvenance]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def to_json_text(self) -> str:
-        """``dictionary.json``: the text that ``json.dump`` writes with
-        ``indent=2, sort_keys=True, ensure_ascii=False``, plus a newline,
-        for the payload :meth:`from_json_dict` reads, built from one
-        template per term instead of through the pure-Python encoder."""
-        records = []
-        for term in self.terms:
-            entry = self.provenance[term]
-            senses = ",\n".join(
-                [
-                    f"        [\n          {encode_basestring(pos)},\n          {offset}\n        ]"
-                    for pos, offset in entry.sense_ids
-                ]
-            )
-            senses = f"[\n{senses}\n      ]" if senses else "[]"
-            records.append(
-                f'    {{\n      "doc_freq": {entry.doc_freq},\n'
-                f'      "pos": {encode_basestring(entry.pos)},\n'
-                f'      "sense_ids": {senses},\n'
-                f'      "term": {encode_basestring(term)}\n    }}'
-            )
-        if not records:
-            return '{\n  "terms": []\n}\n'
-        return '{\n  "terms": [\n' + ",\n".join(records) + "\n  ]\n}\n"
-
-    @staticmethod
-    def count_json_terms(data: bytes) -> int:
-        """Terms in ``dictionary.json`` bytes from :meth:`to_json_text`,
-        counted without decoding: one ``"term"`` key line per record, and
-        no JSON string holds a raw newline."""
-        return data.count(b'\n      "term": ')
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TermDictionary":
-        try:
-            records = payload["terms"]
-            terms = tuple(record["term"] for record in records)
-            provenance = {
-                record["term"]: TermProvenance(
-                    pos=record["pos"],
-                    doc_freq=record["doc_freq"],
-                    sense_ids=tuple((pos, int(offset)) for pos, offset in record["sense_ids"]),
-                )
-                for record in records
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed dictionary payload: {exc}") from exc
-        return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, provenance=provenance)
-
-
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list, one word per line; ``#`` lines are comments.
 
@@ -162,14 +89,15 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("lexifactor").joinpath("data/stopwords.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        with named_decode_errors(path):
+            text = Path(path).read_text("utf-8")
     words = (line.strip() for line in text.splitlines())
     return frozenset(w for w in words if w and not w.startswith("#"))
 
 
 def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
     # License headers in the database files are indented; skip them.
-    with open(path, encoding="utf-8") as handle:
+    with named_decode_errors(path), open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if not raw.strip() or raw[0].isspace():
                 continue

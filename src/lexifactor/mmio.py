@@ -3,7 +3,9 @@
 The matrix itself goes into a ``coordinate pattern`` Matrix Market file
 with 1-based ``row col`` entries in row-major order. Column labels live
 in a ``<name>.terms.txt`` sidecar and row ids in ``<name>.docs.txt``,
-one per line, aligned with the matrix dimensions.
+one per line, aligned with the matrix dimensions. The header and the
+size line are parsed in :mod:`lexifactor.artifacts`, where ``verify``
+reads them too.
 
 The reader has two paths to one result. A line scan defines what it
 accepts and every error it raises. An entry section in exactly the
@@ -17,15 +19,13 @@ from __future__ import annotations
 import io
 import re
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
+from .artifacts import MATRIX_MARKET_HEADER, _parse_size
 from .atomic import atomic_open
-from .errors import ParseError
+from .errors import ParseError, named_decode_errors
 from .matrix import DocTermMatrix
-
-_HEADER = "%%MatrixMarket matrix coordinate pattern general"
 
 # More digits than this may overflow int64; such an index is out of range.
 _MAX_DIGITS = 18
@@ -54,7 +54,7 @@ def write_matrix_market(matrix: DocTermMatrix, mtx_path: str | Path) -> None:
     # 1-based (row, column) pairs, interleaved, for one format call.
     pairs = np.column_stack((matrix.row_of_entry() + 1, matrix.indices + 1)).ravel().tolist()
     with atomic_open(mtx_path) as handle:
-        handle.write(_HEADER + "\n")
+        handle.write(MATRIX_MARKET_HEADER + "\n")
         handle.write(f"{matrix.n_docs} {matrix.n_terms} {matrix.nnz()}\n")
         handle.write("%d %d\n" * matrix.nnz() % tuple(pairs))
     _write_lines(terms_sidecar(mtx_path), matrix.terms)
@@ -111,33 +111,6 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_docs)))),
         indices=columns,
     )
-
-
-def read_matrix_size(mtx_path: str | Path) -> tuple[int, int, int]:
-    """The rows, columns and entries that the size line of ``mtx_path``
-    declares. The header is checked; sidecars and entries are not read."""
-    with open(mtx_path, encoding="utf-8", errors="replace") as handle:
-        return _parse_size(handle, str(mtx_path))[:3]
-
-
-def _parse_size(lines: Iterable[str], path: str) -> tuple[int, int, int, int]:
-    """Check the header line and parse the size line, which may follow
-    ``%`` comment and blank lines. Returns rows, columns, entries and the
-    size line's line number."""
-    lines = iter(lines)
-    header = next(lines, "").rstrip("\n")
-    if header.split() != _HEADER.split():
-        raise ParseError(f"unsupported Matrix Market header: {header!r}", path=path, line=1)
-    for lineno, size_line in enumerate(lines, start=2):
-        if not size_line.startswith("%") and size_line.strip():
-            break
-    else:
-        raise ParseError("missing size line", path=path)
-    try:
-        n_docs, n_terms, nnz = (int(x) for x in size_line.split())
-    except ValueError as exc:
-        raise ParseError(f"malformed size line: {size_line!r}", path=path, line=lineno) from exc
-    return n_docs, n_terms, nnz, lineno
 
 
 def _writer_entries(
@@ -219,5 +192,5 @@ def _write_lines(path: Path, lines: tuple[str, ...]) -> None:
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise ParseError(f"missing sidecar file: {path}", path=str(path))
-    with open(path, encoding="utf-8") as handle:
+    with named_decode_errors(path), open(path, encoding="utf-8") as handle:
         return [line.rstrip("\n") for line in handle]

@@ -1,4 +1,4 @@
-"""Pipeline stages, artifact persistence, and the run manifest.
+"""Pipeline stages and the commands that run them.
 
 Each stage writes its artifacts to the output directory, so the full
 pipeline is the five stages run in order. A stage run on its own reads
@@ -14,31 +14,41 @@ dict stage's lexical pass again, with the same stopwords. Every
 artifact is encoded once and written crash-safely. The manifest
 records, per stage, artifact checksums and basic counts plus the
 config snapshot; timestamps, thread counts, and directory locations
-stay out so that reruns yield byte-identical artifacts.
+stay out so that reruns yield byte-identical artifacts. The artifact
+formats, the manifest reader and ``verify`` live in
+:mod:`lexifactor.artifacts`.
 """
 
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import __version__
+from .artifacts import (
+    MANIFEST_NAME,
+    STAGE_ARTIFACTS,
+    STAGES,
+    TermDictionary,
+    _read_json,
+    _read_manifest,
+    _sha256,
+    _write_json,
+    table_from_payload,
+    table_payload,
+)
 from .atomic import atomic_open, write_text
 from .config import PipelineConfig, parse_factor_spec
 from .efa import (
-    FactorLoadings,
     FactorModel,
-    LoadingTable,
     VarimaxResult,
     correlation_matrix,
     eigendecompose,
@@ -48,17 +58,16 @@ from .efa import (
     select_factor_count,
     varimax_rotate,
 )
-from .errors import DependencyError, ParseError, StageError, ValidationError
+from .errors import DependencyError, StageError, ValidationError
 from .ingest import Review, load_reviews
 from .lexicon import (
     ReviewLemmas,
-    TermDictionary,
     build_dictionary,
     load_stopwords,
     parse_lexical_database,
 )
 from .matrix import build_matrix, column_stats, filter_low_variance
-from .mmio import read_matrix_market, read_matrix_size, write_matrix_market
+from .mmio import read_matrix_market, write_matrix_market
 from .report import (
     attach_labels,
     build_report,
@@ -66,26 +75,6 @@ from .report import (
     exemplar_reviews,
     write_loadings_csv,
 )
-
-STAGES = ("ingest", "dict", "matrix", "efa", "report")
-
-STAGE_ARTIFACTS = {
-    "ingest": ("reviews.jsonl",),
-    "dict": ("dictionary.json",),
-    "matrix": (
-        "matrix.mtx",
-        "matrix.terms.txt",
-        "matrix.docs.txt",
-        "filtered.mtx",
-        "filtered.terms.txt",
-        "filtered.docs.txt",
-        "filter_report.json",
-    ),
-    "efa": ("model.json", "loading_table.json", "loadings.csv"),
-    "report": ("report.md", "report.json"),
-}
-
-MANIFEST_NAME = "manifest.json"
 
 _LOG = logging.getLogger("lexifactor")
 
@@ -109,57 +98,6 @@ def _require_input(path: str | None, what: str) -> Path:
     return resolved
 
 
-def _write_json(path: Path, payload: Any) -> None:
-    """``payload`` as indented JSON with sorted keys, crash-safely."""
-    write_text(path, _json_text(payload) + "\n")
-
-
-def _json_text(value: Any, indent: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
-    ensure_ascii=False)`` writes it, nested at ``indent``; dict keys must
-    be strings. A list of floats, such as a row of loadings, is joined in
-    one call instead of going item by item through the pure-Python
-    encoder that ``json.dumps`` uses when it indents."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{encode_basestring(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
-        text = (",\n" + inner).join(items)
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        try:
-            text = (",\n" + inner).join(map(float.__repr__, value))
-        except TypeError:  # an item is no float
-            text = (",\n" + inner).join([_json_text(item, inner) for item in value])
-        else:
-            # Only the reprs nan, inf and -inf hold an "n".
-            if "n" in text:
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    else:
-        return json.dumps(value)  # a number, a bool or None
-    if not value:
-        return brackets
-    return f"{brackets[0]}\n{inner}{text}\n{indent}{brackets[1]}"
-
-
-def _read_json(path: Path) -> Any:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @contextmanager
 def _run_lock(out: Path) -> Iterator[None]:
     """Refuse to run while another process holds ``out``: an advisory
@@ -177,7 +115,7 @@ def _run_lock(out: Path) -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# artifact (de)serialization
+# model.json
 
 
 def model_payload(
@@ -200,30 +138,6 @@ def model_payload(
         "rotation_sweeps": rotation.sweeps,
         "rotation_converged": rotation.converged,
     }
-
-
-def table_payload(table: LoadingTable) -> dict:
-    return {
-        "threshold": table.threshold,
-        "factors": [
-            {"factor": factor.factor, "entries": [[term, value] for term, value in factor.entries]}
-            for factor in table.factors
-        ],
-    }
-
-
-def table_from_payload(payload: dict) -> LoadingTable:
-    try:
-        factors = tuple(
-            FactorLoadings(
-                factor=int(record["factor"]),
-                entries=tuple((term, float(value)) for term, value in record["entries"]),
-            )
-            for record in payload["factors"]
-        )
-        return LoadingTable(factors=factors, threshold=float(payload["threshold"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed loading table payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +259,8 @@ def _solver_summary(model: FactorModel, rotation: VarimaxResult) -> str:
 
 def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:
     """Render the retained factors with exemplars and optional labels."""
-    table = table_from_payload(_read_json(_require_artifact(config.out / "loading_table.json")))
+    table_path = _require_artifact(config.out / "loading_table.json")
+    table = table_from_payload(_read_json(table_path), table_path)
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
     exemplars = exemplar_reviews(filtered, table, limit=config.exemplars)
     report = build_report(table, exemplars)
@@ -368,7 +283,7 @@ STAGE_FUNCS: dict[str, Callable[[PipelineConfig, Handoff], dict]] = {
 
 
 # ---------------------------------------------------------------------------
-# manifest handling and commands
+# the manifest and the commands that run stages
 
 
 def _manifest_path(config: PipelineConfig) -> Path:
@@ -377,21 +292,6 @@ def _manifest_path(config: PipelineConfig) -> Path:
 
 def _fresh_manifest(config: PipelineConfig) -> dict:
     return {"version": __version__, "config": config.snapshot(), "stages": {}}
-
-
-def _read_manifest(path: Path) -> dict:
-    """The manifest at ``path``: an object whose ``stages`` map each
-    recorded stage to its ``artifacts`` and ``counts`` objects."""
-    manifest = _read_json(path)
-    stages = manifest.get("stages") if isinstance(manifest, dict) else None
-    if not isinstance(stages, dict) or not all(
-        isinstance(entry, dict)
-        and isinstance(entry.get("artifacts"), dict)
-        and isinstance(entry.get("counts"), dict)
-        for entry in stages.values()
-    ):
-        raise ParseError("not a run manifest: stages must map to artifacts and counts objects", path=str(path))
-    return manifest
 
 
 def _update_manifest(config: PipelineConfig, stage: str, counts: dict) -> None:
@@ -433,68 +333,3 @@ def cmd_pipeline(config: PipelineConfig) -> None:
         for stage in STAGES:
             counts = STAGE_FUNCS[stage](config, handoff)
             _update_manifest(config, stage, counts)
-
-
-def cmd_verify(config: PipelineConfig) -> list[str]:
-    """Check manifest checksums, lineage and basic cross-artifact consistency.
-
-    Lineage: every recorded stage's upstream stage is recorded too, and
-    no artifact of an unrecorded stage is left in the directory. Returns
-    a list of problems; empty means the output directory is internally
-    consistent.
-    """
-    manifest_path = _manifest_path(config)
-    if not manifest_path.is_file():
-        raise DependencyError(str(manifest_path))
-    stages = _read_manifest(manifest_path)["stages"]
-    problems: list[str] = []
-
-    for stage, entry in stages.items():
-        for name, recorded in entry["artifacts"].items():
-            path = config.out / name
-            if not path.is_file():
-                problems.append(f"{stage}: missing artifact {name}")
-            elif _sha256(path) != recorded:
-                problems.append(f"{stage}: checksum mismatch for {name}")
-    for upstream, stage in zip(STAGES, STAGES[1:]):
-        if stage in stages and upstream not in stages:
-            problems.append(f"{stage}: upstream stage {upstream} is not recorded")
-    for stage in STAGES:
-        if stage not in stages:
-            for name in STAGE_ARTIFACTS[stage]:
-                if (config.out / name).is_file():
-                    problems.append(f"{stage}: stale artifact {name}, stage not recorded")
-
-    def _count(stage: str, key: str) -> int | None:
-        return stages.get(stage, {}).get("counts", {}).get(key)
-
-    reviews_path = config.out / "reviews.jsonl"
-    expected = _count("ingest", "reviews")
-    if expected is not None and reviews_path.is_file():
-        with open(reviews_path, encoding="utf-8") as handle:
-            actual = sum(1 for line in handle if line.strip())
-        if actual != expected:
-            problems.append(f"ingest: manifest says {expected} reviews, file has {actual}")
-
-    dict_path = config.out / "dictionary.json"
-    expected = _count("dict", "terms")
-    if expected is not None and dict_path.is_file():
-        actual = TermDictionary.count_json_terms(dict_path.read_bytes())
-        if actual != expected:
-            problems.append(f"dict: manifest says {expected} terms, file lists {actual}")
-
-    filtered_path = config.out / "filtered.mtx"
-    expected = _count("matrix", "kept_columns")
-    if expected is not None and filtered_path.is_file():
-        _, n_terms, _ = read_matrix_size(filtered_path)
-        if n_terms != expected:
-            problems.append(f"matrix: manifest says {expected} kept columns, matrix has {n_terms}")
-
-    table_path = config.out / "loading_table.json"
-    expected = _count("efa", "factors_retained")
-    if expected is not None and table_path.is_file():
-        actual = len(table_from_payload(_read_json(table_path)).factors)
-        if actual != expected:
-            problems.append(f"efa: manifest says {expected} factors, table lists {actual}")
-
-    return problems

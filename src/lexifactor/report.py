@@ -17,8 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import LoadingTable
 from .atomic import write_text
-from .efa import LoadingTable
 from .errors import ValidationError
 from .matrix import DocTermMatrix
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifactor import TermDictionary
-from lexifactor.pipeline import _json_text
+from lexifactor.artifacts import _json_text
 
 
 def reference(payload) -> str:

@@ -10,7 +10,7 @@ from lexifactor import (
     write_matrix_market,
 )
 from lexifactor import mmio
-from lexifactor.mmio import read_matrix_size
+from lexifactor.artifacts import read_matrix_size
 
 
 @pytest.fixture()

@@ -592,14 +592,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_command(command, corpus, lexicon_dir, out) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("command", ["ingest", "dict", "report", "verify"])
     def test_input_that_is_not_utf8_is_stage_error(
         self, command, corpus, lexicon_dir, finished_run, tmp_path, capsys
     ):
         """One file per reader family gets a \\xff byte before its final
-        newline: the corpus, a lexicon file, a matrix sidecar, a JSON artifact."""
+        newline: the corpus, a lexicon file, a matrix sidecar, a JSON
+        artifact. The one error line names that file."""
         corpus = shutil.copy(corpus, tmp_path)
         lexicon_dir = shutil.copytree(lexicon_dir, tmp_path / "lexicon")
         out = shutil.copytree(finished_run, tmp_path / "out")
@@ -614,7 +615,26 @@ class TestExitCodes:
             handle.write(b"\xff\n")
         capsys.readouterr()
         assert run_command(command, corpus, lexicon_dir, out) == 2
-        assert capsys.readouterr().err == "error: input is not UTF-8 text (invalid start byte)\n"
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_stopwords_and_verified_reviews_that_are_not_utf8_are_stage_errors(
+        self, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        """The two other text readers: a custom stopword list, and the
+        review count that ``verify`` takes from ``reviews.jsonl``."""
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes(b"the\n\xff\n")
+        capsys.readouterr()
+        assert main(["dict", "--output-dir", str(out), "--lexicon-dir", str(lexicon_dir),
+                     "--stopwords", str(stopwords)]) == 2
+        reviews = out / "reviews.jsonl"
+        reviews.write_bytes(reviews.read_bytes() + b"\xff\n")
+        assert main(["verify", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {stopwords}: not UTF-8 text (invalid start byte)",
+            f"error: {reviews}: not UTF-8 text (invalid start byte)",
+        ]
 
     def test_lock_contention(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
