@@ -208,7 +208,8 @@ class TermDictionary:
         return data.count(b'\n      "term": ')
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "TermDictionary":
+    def from_json_dict(cls, payload: dict, path: str | Path) -> "TermDictionary":
+        """The dictionary that ``payload``, read from ``path``, holds."""
         try:
             records = payload["terms"]
             terms = tuple(record["term"] for record in records)
@@ -221,7 +222,7 @@ class TermDictionary:
                 for record in records
             }
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed dictionary payload: {exc}") from exc
+            raise ParseError(f"malformed dictionary payload: {exc}", path=str(path)) from exc
         return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, provenance=provenance)
 
 

@@ -11,6 +11,12 @@ The spectrum, the starting communalities and the ULS eigenpairs all
 come from SciPy's LAPACK. SciPy links its own OpenBLAS, whose thread
 pool would otherwise take turns with NumPy's, and an idle pool's
 spinning workers slow the other on a small host.
+
+The stage's working memory is about two p x p float64 arrays besides
+the interpreter, NumPy and SciPy: the correlation matrix, whose counts
+and phi values are made a block of rows at a time in the one array,
+and a single scratch copy, which the SMC start factors in place and
+each ULS pass refills for LAPACK to overwrite.
 """
 
 from __future__ import annotations
@@ -86,10 +92,20 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
         (np.ones(matrix.nnz(), dtype=np.float64), matrix.indices, matrix.indptr),
         shape=(matrix.n_docs, matrix.n_terms),
     )
-    cooccurrence = (incidence.T @ incidence).toarray() / matrix.n_docs
-
-    values = (cooccurrence - np.outer(rates, rates)) / np.sqrt(np.outer(variances, variances))
-    np.clip(values, -1.0, 1.0, out=values)
+    by_term = incidence.T.tocsr()
+    # The counts, exact in float64, are made a block of rows at a time
+    # straight into the one p x p array and turned into phi there, so
+    # neither the whole sparse product nor a second p x p array exists.
+    p = matrix.n_terms
+    values = np.empty((p, p))
+    step = max(1, (1 << 16) // p)
+    for start in range(0, p, step):
+        rows = slice(start, start + step)
+        block = (by_term[rows] @ incidence).toarray(out=values[rows])
+        block /= matrix.n_docs
+        block -= np.outer(rates[rows], rates)
+        block /= np.sqrt(np.outer(variances[rows], variances))
+        np.clip(block, -1.0, 1.0, out=block)
     np.fill_diagonal(values, 1.0)
     return CorrelationMatrix(values=values, terms=matrix.terms)
 
@@ -130,19 +146,39 @@ def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
     """Squared multiple correlations, or max |row correlation| as fallback."""
     from scipy.linalg import LinAlgWarning, inv
 
+    inverse_diag = _cholesky_inverse_diagonal(corr_values)
     try:
-        with warnings.catch_warnings():
-            # A nearly singular matrix still has an inverse, and its
-            # out-of-range SMCs are clipped below: nothing to warn about.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            inverse_diag = np.diag(inv(corr_values))
+        if inverse_diag is None:
+            with warnings.catch_warnings():
+                # A nearly singular matrix still has an inverse, and its
+                # out-of-range SMCs are clipped below: nothing to warn about.
+                warnings.simplefilter("ignore", LinAlgWarning)
+                inverse_diag = np.diag(inv(corr_values))
         smc = 1.0 - 1.0 / inverse_diag
     except np.linalg.LinAlgError:
-        off = np.abs(corr_values).copy()
+        off = np.abs(corr_values)
         np.fill_diagonal(off, 0.0)
         smc = off.max(axis=1)
     smc = np.nan_to_num(smc, nan=0.0, posinf=1.0, neginf=0.0)
     return np.clip(smc, 0.0, 1.0)
+
+
+def _cholesky_inverse_diagonal(corr_values: np.ndarray) -> np.ndarray | None:
+    """The diagonal of the inverse of an exactly symmetric positive
+    definite matrix, or None for any other matrix.
+
+    ``potrf`` and ``potri`` on the upper triangle of one Fortran-ordered
+    copy, in place: the steps SciPy's ``inv`` takes for such a matrix.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotri
+
+    if not np.array_equal(corr_values, corr_values.T):
+        return None
+    factor, info = dpotrf(np.array(corr_values, order="F"), lower=0, overwrite_a=1)
+    if info != 0:
+        return None
+    inverse, info = dpotri(factor, lower=0, overwrite_c=1)
+    return np.diag(inverse).copy() if info == 0 else None
 
 
 def extract_uls(
@@ -178,15 +214,20 @@ def extract_uls(
     from scipy.linalg import eigh
 
     h2 = _initial_communalities(C)
-    reduced = C.copy()
+    # LAPACK overwrites its input, so each pass refills this one
+    # Fortran-ordered scratch from C instead of copying C afresh.
+    reduced = np.empty((p, p), order="F")
     loadings = np.zeros((p, k))
     heywood = False
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
+        reduced[...] = C
         np.fill_diagonal(reduced, h2)
         # The k largest eigenpairs, in ascending order; reversed below.
-        eigenvalues, eigenvectors = eigh(reduced, subset_by_index=[p - k, p - 1])
+        eigenvalues, eigenvectors = eigh(
+            reduced, subset_by_index=[p - k, p - 1], overwrite_a=True
+        )
         scale = np.sqrt(np.clip(eigenvalues[::-1], 0.0, None))
         loadings = eigenvectors[:, ::-1] * scale
         new_h2 = np.sum(loadings * loadings, axis=1)

@@ -198,9 +198,8 @@ def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
     handoff.reviews = handoff.dictionary = handoff.lemmas = None  # freed when this stage ends
     if lemmas is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
-        dictionary = TermDictionary.from_json_dict(
-            _read_json(_require_artifact(config.out / "dictionary.json"))
-        )
+        dictionary_path = _require_artifact(config.out / "dictionary.json")
+        dictionary = TermDictionary.from_json_dict(_read_json(dictionary_path), dictionary_path)
         lemmas = ReviewLemmas().read(reviews, _load_lexicon(config), load_stopwords(config.stopwords))
     matrix = build_matrix(reviews, dictionary, lemmas)
     write_matrix_market(matrix, config.out / "matrix.mtx")
@@ -233,14 +232,16 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     eigenvalues = eigendecompose(corr)
     k = select_factor_count(eigenvalues, method=method, k=fixed_k)
     model = extract_uls(corr, k)
+    terms = corr.terms
+    del corr  # the p x p matrix; what follows needs only its terms
     rotation = varimax_rotate(model.loadings)
     _LOG.info("efa: %s", _solver_summary(model, rotation))
-    table = prune_loadings(rotation.loadings, config.threshold, corr.terms)
+    table = prune_loadings(rotation.loadings, config.threshold, terms)
     refined = refine_factors(table, config.retain)
 
-    _write_json(config.out / "model.json", model_payload(model, eigenvalues, rotation, corr.terms))
+    _write_json(config.out / "model.json", model_payload(model, eigenvalues, rotation, terms))
     _write_json(config.out / "loading_table.json", table_payload(refined))
-    write_loadings_csv(rotation.loadings, corr.terms, refined, config.out / "loadings.csv")
+    write_loadings_csv(rotation.loadings, terms, refined, config.out / "loadings.csv")
     return {"factors_extracted": model.k, "factors_retained": len(refined.factors)}
 
 

@@ -343,6 +343,21 @@ def textbook_phi(dense: np.ndarray) -> np.ndarray:
     return phi
 
 
+def reference_phi(dense: np.ndarray) -> np.ndarray:
+    """The phi matrix the package builds a block of rows at a time, built
+    whole: dense co-occurrence counts (exact integers, so their summation
+    order does not matter), then the same elementwise steps on all p x p
+    entries at once."""
+    n = dense.shape[0]
+    rates = dense.sum(axis=0) / n
+    variances = rates * (1.0 - rates)
+    counts = dense.T @ dense
+    values = (counts / n - np.outer(rates, rates)) / np.sqrt(np.outer(variances, variances))
+    np.clip(values, -1.0, 1.0, out=values)
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
 def align_columns(estimated: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Permute and sign-flip estimated columns to best match the target.
 

@@ -1,11 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import eigvalsh
+from scipy.linalg import LinAlgWarning, eigvalsh
 
 from helpers import (
     from_dense,
@@ -13,6 +15,7 @@ from helpers import (
     reference_anchor_signs,
     reference_eigendecompose,
     reference_extract_uls,
+    reference_phi,
     reference_varimax_rotate,
     textbook_phi,
 )
@@ -31,7 +34,7 @@ from lexifactor import (
     varimax_criterion,
     varimax_rotate,
 )
-from lexifactor.efa import _anchor_signs, _pair_levels, uls_objective
+from lexifactor.efa import _anchor_signs, _initial_communalities, _pair_levels, uls_objective
 
 
 def corr_from(values) -> CorrelationMatrix:
@@ -60,6 +63,14 @@ class TestCorrelationMatrix:
             dense = random_binary(rng, int(rng.integers(4, 40)), int(rng.integers(2, 10)))
             corr = correlation_matrix(from_dense(dense))
             np.testing.assert_allclose(corr.values, textbook_phi(dense), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("p", [3, 300, 701])
+    def test_row_blocks_equal_whole_matrix_bits(self, p):
+        # p = 300 and 701 take several blocks of rows, the last one short
+        dense = random_binary(np.random.default_rng(p), 150, p, density=0.1)
+        corr = correlation_matrix(from_dense(dense))
+        assert np.array_equal(corr.values, reference_phi(dense))
+        assert corr.values.flags.c_contiguous
 
     def test_exactly_symmetric_unit_diagonal_bounded(self):
         rng = np.random.default_rng(6)
@@ -310,6 +321,118 @@ class TestUlsMatchesFullEighReference:
         model = extract_uls(corr, 3, max_iter=2)
         assert not model.converged and model.n_iter == 2
         assert_same_model(model, reference_extract_uls(corr, 3, max_iter=2))
+
+
+def inverse_smc(C: np.ndarray) -> np.ndarray:
+    """1 - 1/diag(inv(C)), clipped to [0, 1] as the SMC start clips it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        smc = 1.0 - 1.0 / np.diag(scipy.linalg.inv(C))
+    return np.clip(np.nan_to_num(smc, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+
+
+def unit_diagonal(S: np.ndarray) -> np.ndarray:
+    d = np.sqrt(np.diag(S))
+    C = S / np.outer(d, d)
+    np.fill_diagonal(C, 1.0)
+    return C
+
+
+def nearly_singular_corr() -> np.ndarray:
+    """Symmetric positive definite, condition number about 1e10."""
+    rng = np.random.default_rng(12)
+    Q, _ = np.linalg.qr(rng.normal(size=(25, 25)))
+    S = (Q * np.geomspace(1e-10, 5.0, 25)) @ Q.T
+    return unit_diagonal((S + S.T) / 2)
+
+
+def indefinite_corr() -> np.ndarray:
+    rng = np.random.default_rng(13)
+    A = rng.uniform(-0.9, 0.9, size=(12, 12))
+    C = np.triu(A, 1) + np.triu(A, 1).T + np.eye(12)
+    assert np.linalg.eigvalsh(C)[0] < 0
+    return C
+
+
+def non_symmetric_corr() -> np.ndarray:
+    C = factor_model_corr(np.random.default_rng(14), 20, 3).values
+    C[0, 1] += 1e-3
+    return C
+
+
+SMC_CASES = {
+    "positive-definite": lambda: factor_model_corr(np.random.default_rng(11), 30, 3).values,
+    "nearly-singular": nearly_singular_corr,
+    "indefinite": indefinite_corr,
+    "non-symmetric": non_symmetric_corr,
+}
+
+
+class TestInitialCommunalities:
+    """The SMC start: 1 - 1/diag(C^-1), from an in-place Cholesky inverse
+    when C is exactly symmetric positive definite, else from ``inv``."""
+
+    @pytest.mark.parametrize("case", SMC_CASES)
+    def test_equals_inverse_diagonal(self, case):
+        C = SMC_CASES[case]()
+        before = C.copy()
+        np.testing.assert_allclose(_initial_communalities(C), inverse_smc(C), rtol=1e-12, atol=0)
+        assert np.array_equal(C, before)
+
+    @pytest.mark.parametrize(
+        "case, inv_calls",
+        [("positive-definite", 0), ("nearly-singular", 0), ("indefinite", 1), ("non-symmetric", 1)],
+    )
+    def test_inv_only_without_cholesky(self, case, inv_calls, monkeypatch):
+        calls = []
+        inv = scipy.linalg.inv
+
+        def counted_inv(*args, **kwargs):
+            calls.append(args)
+            return inv(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "inv", counted_inv)
+        _initial_communalities(SMC_CASES[case]())
+        assert len(calls) == inv_calls
+
+    def test_singular_falls_back_to_row_maximum(self):
+        # rows 0 and 1 are equal: Cholesky and LU both meet an exact zero pivot
+        C = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.inv(C)
+        assert _initial_communalities(C).tolist() == [1.0, 1.0, 0.5]
+
+
+def traced_peak(fn, *args) -> int:
+    """The most memory, in bytes, that Python and NumPy allocated during
+    ``fn(*args)`` beyond what they held before it. tracemalloc sees
+    NumPy's array buffers; OpenBLAS and LAPACK allocate their own
+    workspace, which it does not see."""
+    fn(*args)  # a first call may import modules, whose memory is not counted
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """The efa stage holds the correlation matrix and at most one more
+    p x p float64 array at a time."""
+
+    @pytest.mark.parametrize("p", [600, 800])
+    def test_correlation_matrix(self, p):
+        # 2,000 documents at density 0.05: every pair of terms co-occurs
+        matrix = from_dense(random_binary(np.random.default_rng(p), 2000, p, density=0.05))
+        assert traced_peak(correlation_matrix, matrix) <= 2.5 * p * p * 8
+
+    @pytest.mark.parametrize("p", [600, 800])
+    def test_extract_uls(self, p):
+        corr = factor_model_corr(np.random.default_rng(p), p, 10)
+        before = corr.values.copy()
+        assert traced_peak(extract_uls, corr, 10, 1e-6, 3) <= 1.5 * p * p * 8
+        assert np.array_equal(corr.values, before)
 
 
 def grid_best_criterion(W: np.ndarray, n_angles: int = 10001) -> float:

@@ -63,7 +63,7 @@ json_values = st.recursive(
 @given(payload=dictionary_payloads)
 @settings(max_examples=200, deadline=None)
 def test_dictionary_text_equals_json_dumps(payload):
-    dictionary = TermDictionary.from_json_dict(payload)
+    dictionary = TermDictionary.from_json_dict(payload, "dictionary.json")
     text = dictionary.to_json_text()
     assert text == reference(payload)
     data = text.encode("utf-8", "surrogatepass")  # the texts include lone surrogates

@@ -262,7 +262,7 @@ class TestBuildDictionary:
         dictionary = build_dictionary(
             _reviews(["suite ticket", "good noise"]), lexicon, stopwords
         )
-        restored = TermDictionary.from_json_dict(json.loads(dictionary.to_json_text()))
+        restored = TermDictionary.from_json_dict(json.loads(dictionary.to_json_text()), "dictionary.json")
         assert restored.terms == dictionary.terms
         assert restored.index == dictionary.index
         assert restored.provenance == dictionary.provenance
@@ -270,5 +270,5 @@ class TestBuildDictionary:
     def test_malformed_payload_rejected(self):
         from lexifactor import TermDictionary
 
-        with pytest.raises(ParseError):
-            TermDictionary.from_json_dict({"terms": [{"term": "x"}]})
+        with pytest.raises(ParseError, match="^dictionary.json: malformed dictionary payload"):
+            TermDictionary.from_json_dict({"terms": [{"term": "x"}]}, "dictionary.json")

@@ -339,7 +339,7 @@ class TestWorkCounts:
             loads.append(path)
             return load_reviews(path, format)
 
-        def no_reload(cls, payload):
+        def no_reload(cls, payload, path):
             raise AssertionError("dictionary.json read back inside one run")
 
         monkeypatch.setattr(pipeline_module, "load_reviews", counted_load)
@@ -580,8 +580,15 @@ class TestExitCodes:
             ("report", "manifest.json", lambda text: "[1]"),
             ("verify", "loading_table.json", lambda text: "[]"),
             ("verify", "manifest.json", _efa_counts_as_list),
+            ("matrix", "dictionary.json", lambda text: "[]"),
         ],
-        ids=["verify-manifest-list", "report-manifest-list", "verify-table-list", "verify-counts-list"],
+        ids=[
+            "verify-manifest-list",
+            "report-manifest-list",
+            "verify-table-list",
+            "verify-counts-list",
+            "matrix-dictionary-list",
+        ],
     )
     def test_wrong_shape_json_is_stage_error(
         self, command, name, edit, corpus, lexicon_dir, finished_run, tmp_path, capsys
