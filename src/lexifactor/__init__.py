@@ -83,69 +83,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "PipelineConfig",
-    "build_config",
-    "parse_factor_spec",
-    "CorrelationMatrix",
-    "FactorLoadings",
-    "FactorModel",
-    "LoadingTable",
-    "VarimaxResult",
-    "correlation_matrix",
-    "eigendecompose",
-    "extract_uls",
-    "prune_loadings",
-    "refine_factors",
-    "select_factor_count",
-    "varimax_criterion",
-    "varimax_rotate",
-    "ConfigurationError",
-    "DegenerateColumnError",
-    "DependencyError",
-    "DuplicateIdError",
-    "EmptyDictionaryError",
-    "EmptyMatrixError",
-    "LexifactorError",
-    "ParseError",
-    "SchemaError",
-    "StageError",
-    "ValidationError",
-    "Review",
-    "Token",
-    "load_reviews",
-    "tokenize",
-    "Lexicon",
-    "ReviewLemmas",
-    "SenseId",
-    "TermDictionary",
-    "TermProvenance",
-    "build_dictionary",
-    "lemmatize",
-    "lemmatize_token",
-    "load_stopwords",
-    "parse_lexical_database",
-    "ColumnStats",
-    "DocTermMatrix",
-    "build_matrix",
-    "column_stats",
-    "filter_low_variance",
-    "filter_top_variance",
-    "read_matrix_market",
-    "write_matrix_market",
-    "cmd_pipeline",
-    "cmd_stage",
-    "cmd_verify",
-    "FactorReport",
-    "FactorSection",
-    "attach_labels",
-    "build_report",
-    "emit_report",
-    "exemplar_reviews",
-    "render_markdown",
-    "write_loadings_csv",
-]
+__all__ = ["__version__", *_MODULE_OF]
 
 
 def __getattr__(name: str):

@@ -14,6 +14,12 @@ document-term matrix count. Within one ``pipeline`` run the dictionary
 pass hands these arrays to the matrix stage, so the run tokenizes the
 corpus once and parses the database once.
 
+The parsed lexicon is compact: each ``(lemma, pos)`` entry holds a
+tuple of int synset offsets, its part of speech implied by the key, and
+:meth:`Lexicon.senses` builds the ``(pos, offset)`` sense ids only for
+the lemmas that ask, which are the dictionary's candidates. A
+75,000-entry lexicon holds about 20 MB this way.
+
 Dictionary construction is a greedy pass over candidate lemmas ranked
 by document frequency: a candidate is admitted unless it shares a sense
 with an already-admitted term (a synonym) or one of its senses is
@@ -25,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -58,7 +65,17 @@ ADJ_RULES: tuple[tuple[str, str], ...] = (
     ("est", "e"),
 )
 
-_RULES = {"noun": NOUN_RULES, "adj": ADJ_RULES}
+
+def _by_last_letter(rules: tuple[tuple[str, str], ...]) -> dict[str, tuple[tuple[str, str], ...]]:
+    """The rules grouped by the last letter of their suffix, each group in
+    declaration order: only one group can match a given token."""
+    groups: dict[str, list[tuple[str, str]]] = {}
+    for suffix, replacement in rules:
+        groups.setdefault(suffix[-1], []).append((suffix, replacement))
+    return {letter: tuple(group) for letter, group in groups.items()}
+
+
+_RULES = {"noun": _by_last_letter(NOUN_RULES), "adj": _by_last_letter(ADJ_RULES)}
 
 _DB_FILES = ("index.noun", "index.adj", "data.noun", "data.adj", "noun.exc", "adj.exc")
 
@@ -67,18 +84,21 @@ _DB_FILES = ("index.noun", "index.adj", "data.noun", "data.adj", "noun.exc", "ad
 class Lexicon:
     """Parsed lexical database restricted to nouns and adjectives.
 
-    ``entries`` maps ``(lemma, pos)`` to the set of senses the lemma
-    participates in; ``exceptions`` maps irregular ``(inflected, pos)``
-    forms to their base lemma; ``antonyms`` maps each sense to the
-    senses an antonym pointer connects it with, in either direction.
+    ``entries`` maps ``(lemma, pos)`` to the synset offsets of the
+    lemma's senses, as ints in index-file order; :meth:`senses` turns
+    them into sense ids. ``exceptions`` maps irregular
+    ``(inflected, pos)`` forms to their base lemma; ``antonyms`` maps
+    each sense to the senses an antonym pointer connects it with, in
+    either direction.
     """
 
-    entries: dict[tuple[str, str], frozenset[SenseId]]
+    entries: dict[tuple[str, str], tuple[int, ...]]
     exceptions: dict[tuple[str, str], str]
     antonyms: dict[SenseId, frozenset[SenseId]] = field(default_factory=dict)
 
     def senses(self, lemma: str, pos: str) -> frozenset[SenseId]:
-        return self.entries.get((lemma, pos), frozenset())
+        """The ``(pos, offset)`` senses of a lemma, built on each call."""
+        return frozenset((pos, offset) for offset in self.entries.get((lemma, pos), ()))
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -96,12 +116,13 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 
 
 def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
-    # License headers in the database files are indented; skip them.
+    # License headers in the database files are indented; skip them, and
+    # blank lines, which start with whitespace too. Every reader splits
+    # the line on whitespace, so the newline stays on.
     with named_decode_errors(path), open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip() or raw[0].isspace():
-                continue
-            yield lineno, raw.rstrip("\n")
+            if not raw[0].isspace():
+                yield lineno, raw
 
 
 def _clean_lemma(word: str) -> str | None:
@@ -110,15 +131,15 @@ def _clean_lemma(word: str) -> str | None:
     return word if _ALPHA_RE.match(word) else None
 
 
-def _parse_index(path: Path, pos: str) -> dict[tuple[str, str], frozenset[SenseId]]:
-    entries: dict[tuple[str, str], frozenset[SenseId]] = {}
+def _parse_index(path: Path, pos: str) -> dict[tuple[str, str], tuple[int, ...]]:
+    entries: dict[tuple[str, str], tuple[int, ...]] = {}
     for lineno, line in _content_lines(path):
         parts = line.split()
         try:
             lemma, tag = parts[0], parts[1]
             synset_cnt = int(parts[2])
             p_cnt = int(parts[3])
-            offsets = [int(x) for x in parts[4 + p_cnt + 2 :]]
+            offsets = tuple(map(int, parts[4 + p_cnt + 2 :]))
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed index line: {exc}", path=str(path), line=lineno) from exc
         if _POS_FROM_TAG.get(tag) != pos:
@@ -129,10 +150,12 @@ def _parse_index(path: Path, pos: str) -> dict[tuple[str, str], frozenset[SenseI
                 path=str(path),
                 line=lineno,
             )
-        cleaned = _clean_lemma(lemma)
-        if cleaned is None:
-            continue  # multiword and punctuated lemmas are out of scope
-        entries[(cleaned, pos)] = frozenset((pos, offset) for offset in offsets)
+        # A lemma of ASCII lowercase letters alone is already clean.
+        if not (lemma.isascii() and lemma.isalpha() and lemma.islower()):
+            lemma = _clean_lemma(lemma)
+            if lemma is None:
+                continue  # multiword and punctuated lemmas are out of scope
+        entries[(lemma, pos)] = offsets
     return entries
 
 
@@ -175,7 +198,7 @@ def _parse_data(path: Path, pos: str) -> tuple[set[int], list[tuple[SenseId, Sen
 
 
 def _parse_exceptions(
-    path: Path, pos: str, entries: dict[tuple[str, str], frozenset[SenseId]]
+    path: Path, pos: str, entries: dict[tuple[str, str], tuple[int, ...]]
 ) -> dict[tuple[str, str], str]:
     exceptions: dict[tuple[str, str], str] = {}
     for lineno, line in _content_lines(path):
@@ -204,21 +227,27 @@ def parse_lexical_database(root: str | Path) -> Lexicon:
     if missing:
         raise ParseError(f"missing lexical database files: {', '.join(missing)}", path=str(root))
 
-    entries: dict[tuple[str, str], frozenset[SenseId]] = {}
-    entries.update(_parse_index(root / "index.noun", "noun"))
-    entries.update(_parse_index(root / "index.adj", "adj"))
+    noun_entries = _parse_index(root / "index.noun", "noun")
+    adj_entries = _parse_index(root / "index.adj", "adj")
+    entries = {**noun_entries, **adj_entries}
 
     noun_offsets, noun_pairs = _parse_data(root / "data.noun", "noun")
     adj_offsets, adj_pairs = _parse_data(root / "data.adj", "adj")
     known = {"noun": noun_offsets, "adj": adj_offsets}
 
-    for (lemma, pos), senses in entries.items():
-        for _, offset in senses:
-            if offset not in known[pos]:
-                raise ParseError(
-                    f"index entry {lemma!r} references unknown {pos} synset {offset:08d}",
-                    path=str(root),
-                )
+    if not (
+        noun_offsets.issuperset(chain.from_iterable(noun_entries.values()))
+        and adj_offsets.issuperset(chain.from_iterable(adj_entries.values()))
+    ):
+        # Name the first unknown offset as the per-sense check always has:
+        # entries in order, each entry's senses in set order.
+        for (lemma, pos), offsets in entries.items():
+            for _, offset in frozenset((pos, offset) for offset in offsets):
+                if offset not in known[pos]:
+                    raise ParseError(
+                        f"index entry {lemma!r} references unknown {pos} synset {offset:08d}",
+                        path=str(root),
+                    )
     antonyms: dict[SenseId, set[SenseId]] = {}
     for source, target in noun_pairs + adj_pairs:
         if target[1] not in known[target[0]]:
@@ -249,12 +278,13 @@ def lemmatize(lexicon: Lexicon, token: str, pos: str) -> str | None:
     wins), then the token itself if it is already a lemma. Returns
     ``None`` when nothing matches.
     """
-    if pos not in _RULES:
+    rules = _RULES.get(pos)
+    if rules is None:
         raise ValidationError(f"unsupported part of speech: {pos!r}")
     base = lexicon.exceptions.get((token, pos))
     if base is not None:
         return base
-    for suffix, replacement in _RULES[pos]:
+    for suffix, replacement in rules.get(token[-1:], ()):
         if token.endswith(suffix):
             candidate = token[: len(token) - len(suffix)] + replacement
             if candidate and (candidate, pos) in lexicon.entries:
@@ -342,17 +372,22 @@ def build_dictionary(
     the matrix next neither tokenizes nor lemmatizes again.
     """
     lemmas = (ReviewLemmas() if lemmas is None else lemmas).read(reviews, lexicon, stopwords)
-    doc_freq = np.bincount(lemmas.ids, minlength=len(lemmas.vocabulary)).tolist()
-    ranked = sorted(zip(lemmas.vocabulary, doc_freq), key=lambda item: (-item[1], item[0]))
+    vocabulary = lemmas.vocabulary
+    doc_freq = np.bincount(lemmas.ids, minlength=len(vocabulary))
+    # A stable sort by falling frequency over alphabetically ordered ids
+    # breaks frequency ties alphabetically.
+    alphabetical = np.array(sorted(range(len(vocabulary)), key=vocabulary.__getitem__), dtype=np.int64)
+    ranked = alphabetical[np.argsort(-doc_freq[alphabetical], kind="stable")]
 
     claimed: set[SenseId] = set()
     blocked: set[SenseId] = set()
     terms: list[str] = []
     provenance: dict[str, TermProvenance] = {}
-    for lemma, freq in ranked:
+    for lemma_id, freq in zip(ranked.tolist(), doc_freq[ranked].tolist()):
+        lemma = vocabulary[lemma_id]
         pos = "noun" if (lemma, "noun") in lexicon.entries else "adj"
         senses = lexicon.senses(lemma, pos)
-        if senses & claimed or senses & blocked:
+        if not (claimed.isdisjoint(senses) and blocked.isdisjoint(senses)):
             continue
         terms.append(lemma)
         claimed.update(senses)

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -17,11 +21,13 @@ from lexifactor import (
     DocTermMatrix,
     EmptyDictionaryError,
     ParseError,
+    SenseId,
     TermDictionary,
     TermProvenance,
     lemmatize_token,
     tokenize,
 )
+from lexifactor.errors import named_decode_errors
 from lexifactor.efa import FactorModel, VarimaxResult, _initial_communalities, varimax_criterion
 
 
@@ -146,6 +152,184 @@ def reference_document_lemmas(lexicon, review, stopwords) -> set[str]:
         if lemma is not None:
             lemmas.add(lemma)
     return lemmas
+
+
+# The lexical database parser as it was when every entry held a frozenset
+# of sense ids, kept line for line as the oracle of the compact parser.
+
+_REF_POS_FROM_TAG = {"n": "noun", "a": "adj", "s": "adj"}
+_REF_ALPHA_RE = re.compile(r"^[a-z]+$")
+_REF_MARKER_RE = re.compile(r"\([a-z]+\)$")
+_REF_DB_FILES = ("index.noun", "index.adj", "data.noun", "data.adj", "noun.exc", "adj.exc")
+
+
+@dataclass
+class ReferenceLexicon:
+    entries: dict[tuple[str, str], frozenset[SenseId]]
+    exceptions: dict[tuple[str, str], str]
+    antonyms: dict[SenseId, frozenset[SenseId]] = field(default_factory=dict)
+
+    def senses(self, lemma: str, pos: str) -> frozenset[SenseId]:
+        return self.entries.get((lemma, pos), frozenset())
+
+
+def _ref_content_lines(path: Path) -> Iterator[tuple[int, str]]:
+    with named_decode_errors(path), open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip() or raw[0].isspace():
+                continue
+            yield lineno, raw.rstrip("\n")
+
+
+def _ref_clean_lemma(word: str) -> str | None:
+    word = _REF_MARKER_RE.sub("", word)
+    return word if _REF_ALPHA_RE.match(word) else None
+
+
+def _ref_parse_index(path: Path, pos: str) -> dict[tuple[str, str], frozenset[SenseId]]:
+    entries: dict[tuple[str, str], frozenset[SenseId]] = {}
+    for lineno, line in _ref_content_lines(path):
+        parts = line.split()
+        try:
+            lemma, tag = parts[0], parts[1]
+            synset_cnt = int(parts[2])
+            p_cnt = int(parts[3])
+            offsets = [int(x) for x in parts[4 + p_cnt + 2 :]]
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"malformed index line: {exc}", path=str(path), line=lineno) from exc
+        if _REF_POS_FROM_TAG.get(tag) != pos:
+            raise ParseError(f"unexpected pos tag {tag!r}", path=str(path), line=lineno)
+        if len(offsets) != synset_cnt:
+            raise ParseError(
+                f"index line declares {synset_cnt} synsets but lists {len(offsets)}",
+                path=str(path),
+                line=lineno,
+            )
+        cleaned = _ref_clean_lemma(lemma)
+        if cleaned is None:
+            continue
+        entries[(cleaned, pos)] = frozenset((pos, offset) for offset in offsets)
+    return entries
+
+
+def _ref_parse_data(path: Path, pos: str) -> tuple[set[int], list[tuple[SenseId, SenseId]]]:
+    offsets: set[int] = set()
+    pairs: list[tuple[SenseId, SenseId]] = []
+    for lineno, line in _ref_content_lines(path):
+        head = line.split("|", 1)[0]
+        parts = head.split()
+        try:
+            offset = int(parts[0])
+            ss_type = parts[2]
+            w_cnt = int(parts[3], 16)
+            cursor = 4 + 2 * w_cnt
+            p_cnt = int(parts[cursor])
+            cursor += 1
+            for _ in range(p_cnt):
+                symbol = parts[cursor]
+                target_offset = int(parts[cursor + 1])
+                target_tag = parts[cursor + 2]
+                cursor += 4
+                if symbol == "!":
+                    target_pos = _REF_POS_FROM_TAG.get(target_tag)
+                    if target_pos is None:
+                        raise ParseError(
+                            f"antonym pointer to unsupported pos {target_tag!r}",
+                            path=str(path),
+                            line=lineno,
+                        )
+                    pairs.append(((pos, offset), (target_pos, target_offset)))
+        except ParseError:
+            raise
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"malformed data line: {exc}", path=str(path), line=lineno) from exc
+        if _REF_POS_FROM_TAG.get(ss_type) != pos:
+            raise ParseError(f"unexpected synset type {ss_type!r}", path=str(path), line=lineno)
+        offsets.add(offset)
+    return offsets, pairs
+
+
+def _ref_parse_exceptions(
+    path: Path, pos: str, entries: dict[tuple[str, str], frozenset[SenseId]]
+) -> dict[tuple[str, str], str]:
+    exceptions: dict[tuple[str, str], str] = {}
+    for lineno, line in _ref_content_lines(path):
+        parts = line.split()
+        if len(parts) < 2:
+            raise ParseError("exception line needs an inflected form and a base", path=str(path), line=lineno)
+        inflected, bases = parts[0], parts[1:]
+        if not _REF_ALPHA_RE.match(inflected):
+            continue
+        for base in bases:
+            if (base, pos) in entries:
+                exceptions[(inflected, pos)] = base
+                break
+    return exceptions
+
+
+def reference_parse_lexical_database(root) -> ReferenceLexicon:
+    """The six database files under ``root``, parsed one sense set per entry."""
+    root = Path(root)
+    missing = [name for name in _REF_DB_FILES if not (root / name).is_file()]
+    if missing:
+        raise ParseError(f"missing lexical database files: {', '.join(missing)}", path=str(root))
+
+    entries: dict[tuple[str, str], frozenset[SenseId]] = {}
+    entries.update(_ref_parse_index(root / "index.noun", "noun"))
+    entries.update(_ref_parse_index(root / "index.adj", "adj"))
+
+    noun_offsets, noun_pairs = _ref_parse_data(root / "data.noun", "noun")
+    adj_offsets, adj_pairs = _ref_parse_data(root / "data.adj", "adj")
+    known = {"noun": noun_offsets, "adj": adj_offsets}
+
+    for (lemma, pos), senses in entries.items():
+        for _, offset in senses:
+            if offset not in known[pos]:
+                raise ParseError(
+                    f"index entry {lemma!r} references unknown {pos} synset {offset:08d}",
+                    path=str(root),
+                )
+    antonyms: dict[SenseId, set[SenseId]] = {}
+    for source, target in noun_pairs + adj_pairs:
+        if target[1] not in known[target[0]]:
+            raise ParseError(
+                f"antonym pointer from {source[0]} synset {source[1]:08d} "
+                f"references unknown {target[0]} synset {target[1]:08d}",
+                path=str(root),
+            )
+        antonyms.setdefault(source, set()).add(target)
+        antonyms.setdefault(target, set()).add(source)
+
+    exceptions: dict[tuple[str, str], str] = {}
+    exceptions.update(_ref_parse_exceptions(root / "noun.exc", "noun", entries))
+    exceptions.update(_ref_parse_exceptions(root / "adj.exc", "adj", entries))
+
+    return ReferenceLexicon(
+        entries=entries,
+        exceptions=exceptions,
+        antonyms={sense: frozenset(others) for sense, others in antonyms.items()},
+    )
+
+
+REFERENCE_NOUN_RULES = (
+    ("s", ""), ("ses", "s"), ("xes", "x"), ("zes", "z"),
+    ("ches", "ch"), ("shes", "sh"), ("men", "man"), ("ies", "y"),
+)
+REFERENCE_ADJ_RULES = (("er", ""), ("est", ""), ("er", "e"), ("est", "e"))
+
+
+def reference_lemmatize(lexicon, token: str, pos: str) -> str | None:
+    """Straight transcription of the documented analysis order: the
+    exception list, then every suffix rule in declaration order, then
+    the token itself."""
+    if (token, pos) in lexicon.exceptions:
+        return lexicon.exceptions[(token, pos)]
+    for suffix, replacement in REFERENCE_NOUN_RULES if pos == "noun" else REFERENCE_ADJ_RULES:
+        if token.endswith(suffix):
+            candidate = token[: len(token) - len(suffix)] + replacement
+            if candidate and (candidate, pos) in lexicon.entries:
+                return candidate
+    return token if (token, pos) in lexicon.entries else None
 
 
 def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:

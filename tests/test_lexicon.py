@@ -1,11 +1,22 @@
 import json
+import random
+import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wordnet_fixture as fx
+from helpers import (
+    REFERENCE_ADJ_RULES,
+    REFERENCE_NOUN_RULES,
+    reference_lemmatize,
+    reference_parse_lexical_database,
+)
 from lexifactor import (
     EmptyDictionaryError,
+    Lexicon,
     ParseError,
     Review,
     ValidationError,
@@ -108,6 +119,111 @@ class TestParseLexicalDatabase:
         # parsed as content the fixture assertions above would fail
         assert lexicon.entries
 
+    def test_entries_hold_int_offsets_in_index_order(self, lexicon):
+        assert lexicon.entries[("glass", "noun")] == (800, 850)
+        assert lexicon.entries[("galore", "adj")] == (1300,)
+
+
+# Characters put into a lemma: each sends it through the regex check,
+# which strips a marker and drops any other lemma that is not [a-z]+.
+_LEMMA_INSERTS = ("7", "_", "+", " ", "Q", "(ip)", "(a)", "é")
+_OFFSET_RE = re.compile(r"(?<![^ ])\d{8}(?![^ \n])")
+
+
+def _offset_spellings(offset: str, rng: random.Random) -> list[str]:
+    """Other spellings of one offset that ``int()`` reads as the same value."""
+    cut = rng.randrange(1, len(offset))
+    return ["+" + offset, offset[:cut] + "_" + offset[cut:], "0" + offset]
+
+
+def _mutate(files: dict[str, str], rng: random.Random) -> tuple[str, str, str]:
+    """One random mutation of one file: (file name, kind, new text)."""
+    kind = rng.choice(("truncate", "drop", "double", "flip", "lemma", "offset"))
+    names = sorted(files)
+    if kind == "offset":
+        names = [name for name in names if not name.endswith(".exc")]
+    elif kind == "lemma":
+        names = [name for name in names if not name.startswith("data.")]
+    name = rng.choice(names)
+    text = files[name]
+    lines = text.splitlines(keepends=True)
+    content = [i for i, line in enumerate(lines) if line.strip() and not line[0].isspace()]
+    i = rng.choice(content)
+    if kind == "truncate":
+        return name, kind, text[: rng.randrange(len(text))]
+    if kind == "drop":
+        del lines[i]
+    elif kind == "double":
+        lines.insert(i, lines[i])
+    elif kind == "flip":
+        at = rng.randrange(len(text))
+        flipped = chr(ord(text[at]) ^ (1 << rng.randrange(7)))  # stays ASCII
+        return name, kind, text[:at] + flipped + text[at + 1 :]
+    elif kind == "lemma":
+        lemma, rest = lines[i].split(" ", 1)
+        at = rng.randrange(len(lemma) + 1)
+        lines[i] = f"{lemma[:at]}{rng.choice(_LEMMA_INSERTS)}{lemma[at:]} {rest}"
+    else:
+        matches = list(_OFFSET_RE.finditer(lines[i]))
+        match = rng.choice(matches)
+        spelled = rng.choice(_offset_spellings(match.group(), rng))
+        lines[i] = lines[i][: match.start()] + spelled + lines[i][match.end() :]
+    return name, kind, "".join(lines)
+
+
+def _outcome(parse, root):
+    """What a parser makes of ``root``: its error, or every part of the lexicon."""
+    try:
+        lexicon = parse(root)
+    except ParseError as err:
+        return ("error", str(err), err.path, err.line)
+    return (
+        "lexicon",
+        list(lexicon.entries),
+        {key: lexicon.senses(*key) for key in lexicon.entries},
+        lexicon.exceptions,
+        lexicon.antonyms,
+    )
+
+
+class TestParserEquivalence:
+    def test_fixture_parses_as_the_reference(self, lexicon_dir):
+        assert _outcome(parse_lexical_database, lexicon_dir) == _outcome(
+            reference_parse_lexical_database, lexicon_dir
+        )
+
+    @pytest.mark.parametrize("insert", _LEMMA_INSERTS)
+    def test_lemma_inserts_parse_as_the_reference(self, insert, tmp_path):
+        lines = {
+            "index.noun": f"ca{insert}fe n 1 1 @ 1 0 00000100\n",
+            "index.adj": f"ca{insert}fe a 1 1 @ 1 0 00000100\n",
+            "noun.exc": f"ca{insert}fes suite\n",
+        }
+        for name, line in lines.items():
+            root = fx.write_lexical_database(tmp_path / name)
+            path = root / name
+            path.write_text(path.read_text(encoding="utf-8") + line, encoding="utf-8")
+            assert _outcome(parse_lexical_database, root) == _outcome(
+                reference_parse_lexical_database, root
+            ), name
+
+    def test_random_mutations_parse_or_fail_as_the_reference(self, lexicon_dir, tmp_path):
+        rng = random.Random(1616)
+        files = {path.name: path.read_text(encoding="utf-8") for path in lexicon_dir.iterdir()}
+        root = tmp_path / "db"
+        kinds = {}
+        for trial in range(400):
+            name, kind, mutated = _mutate(files, rng)
+            shutil.rmtree(root, ignore_errors=True)
+            fx.write_lexical_database(root)
+            (root / name).write_text(mutated, encoding="utf-8")
+            ours = _outcome(parse_lexical_database, root)
+            assert ours == _outcome(reference_parse_lexical_database, root), (trial, name, kind)
+            kinds.setdefault(kind, set()).add(ours[0])
+        # Every kind of mutation was tried, and the runs both parsed and failed.
+        assert set(kinds) == {"truncate", "drop", "double", "flip", "lemma", "offset"}
+        assert set().union(*kinds.values()) == {"error", "lexicon"}
+
 
 class TestLemmatize:
     @pytest.mark.parametrize(
@@ -183,6 +299,46 @@ class TestLemmatize:
         assert lemmatize(lexicon, "good", "noun") == "good"
         # "faster" only analyzes as an adjective
         assert lemmatize_token(lexicon, "faster") == "fast"
+
+
+_SUFFIXES = sorted({suffix for suffix, _ in REFERENCE_NOUN_RULES + REFERENCE_ADJ_RULES})
+_REPLACEMENTS = sorted({replacement for _, replacement in REFERENCE_NOUN_RULES + REFERENCE_ADJ_RULES})
+
+
+def _rigged_lexicon(stems):
+    """Each stem joined to every rule's replacement is a lemma of both parts
+    of speech, so several rules can reach a lemma from one token."""
+    lemmas = {stem + replacement for stem in stems for replacement in _REPLACEMENTS}
+    entries = {(lemma, pos): (1,) for lemma in sorted(lemmas) if lemma for pos in ("noun", "adj")}
+    return Lexicon(entries=entries, exceptions={})
+
+
+_FIXTURE_LEMMAS = sorted(fx.expected_noun_lemmas() | fx.expected_adj_lemmas())
+_tokens = st.one_of(
+    st.builds(str.__add__, st.sampled_from(_FIXTURE_LEMMAS), st.sampled_from(_SUFFIXES)),
+    st.sampled_from(_SUFFIXES),
+    st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+)
+
+
+class TestRuleTable:
+    @given(token=_tokens)
+    @settings(max_examples=400, deadline=None)
+    def test_fixture_lexicon_follows_the_documented_order(self, lexicon, token):
+        for pos in ("noun", "adj"):
+            assert lemmatize(lexicon, token, pos) == reference_lemmatize(lexicon, token, pos)
+
+    @given(
+        stems=st.lists(st.from_regex(r"[a-z]{0,3}", fullmatch=True), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_competing_rules_resolve_in_declaration_order(self, stems, data):
+        rigged = _rigged_lexicon(stems)
+        stem = data.draw(st.sampled_from(stems))
+        token = data.draw(st.one_of(st.sampled_from(_SUFFIXES).map(stem.__add__), _tokens))
+        for pos in ("noun", "adj"):
+            assert lemmatize(rigged, token, pos) == reference_lemmatize(rigged, token, pos)
 
 
 class TestStopwords:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +293,24 @@ class TestDeterminism:
         matrix = read_matrix_market(whole / "matrix.mtx")
         assert matrix.terms == tuple(record["term"] for record in records)
         assert column_stats(matrix).df.tolist() == [record["doc_freq"] for record in records]
+
+    def test_hash_seed_does_not_change_artifact_bytes(self, corpus, lexicon_dir, tmp_path):
+        # Set and dict iteration order over strings follows PYTHONHASHSEED,
+        # so a run in a fresh interpreter per seed shows any that leaks.
+        src = str(Path(lexicon_module.__file__).parents[1])
+        outputs = []
+        for seed in ("0", "4242"):
+            out = tmp_path / f"seed{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            subprocess.run(
+                [sys.executable, "-m", "lexifactor", "pipeline", "--input", str(corpus),
+                 "--lexicon-dir", str(lexicon_dir), "--output-dir", str(out), "--factors", "fixed:2"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(artifact_bytes(out))
+        assert len(outputs[0]) == 15
+        assert outputs[0] == outputs[1]
 
     def test_rerun_is_byte_identical(self, corpus, lexicon_dir, tmp_path):
         out = tmp_path / "out"
