@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from .atomic import write_text
+from .atomic import atomic_open
 from .config import PipelineConfig
 from .errors import DependencyError, ParseError, named_decode_errors
 
@@ -53,38 +53,49 @@ SenseId = tuple[str, int]
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    """``payload`` as indented JSON with sorted keys, crash-safely."""
-    write_text(path, _json_text(payload) + "\n")
+    """``payload`` as indented JSON with sorted keys, crash-safely, written
+    a piece at a time so the whole text is never held at once."""
+    with atomic_open(path) as handle:
+        handle.writelines(_json_chunks(payload))
+        handle.write("\n")
 
 
-def _json_text(value: Any, indent: str = "") -> str:
+def _json_chunks(value: Any, indent: str = "") -> Iterator[str]:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
-    ensure_ascii=False)`` writes it, nested at ``indent``; dict keys must
-    be strings. A list of floats, such as a row of loadings, is joined in
-    one call instead of going item by item through the pure-Python
-    encoder that ``json.dumps`` uses when it indents."""
+    ensure_ascii=False)`` writes it, nested at ``indent``, in pieces; dict
+    keys must be strings. A list of floats, such as a row of loadings, is
+    joined in one call instead of going item by item through the
+    pure-Python encoder that ``json.dumps`` uses when it indents."""
     if isinstance(value, str):
-        return encode_basestring(value)
+        yield encode_basestring(value)
+        return
+    if not isinstance(value, (dict, list, tuple)):
+        yield json.dumps(value)  # a number, a bool or None
+        return
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        yield opening + closing
+        return
     inner = indent + "  "
     if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{encode_basestring(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
-        text = (",\n" + inner).join(items)
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
+        items = ((f"{encode_basestring(key)}: ", value[key]) for key in sorted(value))
+    else:
         try:
             text = (",\n" + inner).join(map(float.__repr__, value))
         except TypeError:  # an item is no float
-            text = (",\n" + inner).join([_json_text(item, inner) for item in value])
+            items = (("", item) for item in value)
         else:
             # Only the reprs nan, inf and -inf hold an "n".
             if "n" in text:
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    else:
-        return json.dumps(value)  # a number, a bool or None
-    if not value:
-        return brackets
-    return f"{brackets[0]}\n{inner}{text}\n{indent}{brackets[1]}"
+            yield f"{opening}\n{inner}{text}\n{indent}{closing}"
+            return
+    separator = opening + "\n" + inner
+    for prefix, item in items:
+        yield separator + prefix
+        yield from _json_chunks(item, inner)
+        separator = ",\n" + inner
+    yield f"\n{indent}{closing}"
 
 
 def _read_json(path: Path) -> Any:

@@ -5,26 +5,32 @@ descending spectrum, a factor count chosen from that spectrum, the
 unweighted least squares model (iterated principal axis on the reduced
 correlation matrix), its Varimax rotation, and the rotated p x k
 loadings pruned into per-factor word lists and refined to the
-strongest factors. No step changes a value an earlier step returned.
+strongest factors. No step changes a value an earlier step returned,
+and a step that borrows one restores it before it returns or raises.
 
 The spectrum, the starting communalities and the ULS eigenpairs all
 come from SciPy's LAPACK. SciPy links its own OpenBLAS, whose thread
 pool would otherwise take turns with NumPy's, and an idle pool's
 spinning workers slow the other on a small host.
 
-The stage's working memory is about two p x p float64 arrays besides
-the interpreter, NumPy and SciPy: the correlation matrix, whose counts
-and phi values are made a block of rows at a time in the one array,
-and a single scratch copy, which the SMC start factors in place and
-each ULS pass refills for LAPACK to overwrite.
+The stage's working memory is one p x p float64 array besides the
+interpreter, NumPy and SciPy: the correlation matrix, whose counts and
+phi values are made a block of rows at a time in that array. LAPACK's
+symmetric routines read one triangle of a matrix and overwrite only
+that triangle and the diagonal, so the spectrum, the SMC start and
+every ULS pass run in the correlation matrix itself (see
+:func:`_lapack_view`): its other triangle keeps the values, which are
+copied back, with the saved diagonal, once LAPACK is done. Only the
+SMC start of a matrix that is not positive definite inverts a copy.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,11 +102,8 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     # The counts, exact in float64, are made a block of rows at a time
     # straight into the one p x p array and turned into phi there, so
     # neither the whole sparse product nor a second p x p array exists.
-    p = matrix.n_terms
-    values = np.empty((p, p))
-    step = max(1, (1 << 16) // p)
-    for start in range(0, p, step):
-        rows = slice(start, start + step)
+    values = np.empty((matrix.n_terms, matrix.n_terms))
+    for rows in _row_blocks(matrix.n_terms):
         block = (by_term[rows] @ incidence).toarray(out=values[rows])
         block /= matrix.n_docs
         block -= np.outer(rates[rows], rates)
@@ -112,12 +115,85 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
 
 def eigendecompose(corr: CorrelationMatrix) -> np.ndarray:
     """The eigenvalues of the correlation matrix, descending; choosing
-    the factor count needs no eigenvectors."""
+    the factor count needs no eigenvectors. LAPACK works in the
+    matrix's own memory, which must hold a writable C-ordered float64
+    array, finite and exactly symmetric, and puts it back."""
     from scipy.linalg import eigvalsh
 
+    _require_borrowable(corr.values)
     # Driver "ev" takes the steps of NumPy's eigvalsh (a tridiagonal
     # reduction, then dsterf), so both compute the same spectrum.
-    return np.sort(eigvalsh(corr.values, driver="ev"))[::-1]
+    with _lapack_view(corr.values, lower=True) as a:
+        eigenvalues = eigvalsh(a, driver="ev", overwrite_a=True, check_finite=False)
+    return np.sort(eigenvalues)[::-1]
+
+
+def _row_blocks(p: int) -> Iterator[slice]:
+    """Slices of about 65,536 entries' worth of rows of a p x p array."""
+    step = max(1, (1 << 16) // max(p, 1))
+    return (slice(start, min(start + step, p)) for start in range(0, p, step))
+
+
+def _unborrowable(values: np.ndarray) -> str | None:
+    """Why :func:`_lapack_view` cannot lend ``values`` to LAPACK and put
+    it back bit for bit, or None if it can: the matrix must be a square,
+    writable, C-ordered float64 array, finite and exactly symmetric."""
+    if not (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.flags.c_contiguous
+        and values.flags.writeable
+    ):
+        return "correlation matrix must be a writable C-ordered float64 array"
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        return f"correlation matrix must be square, got {values.shape}"
+    blocks = list(_row_blocks(values.shape[0]))
+    if not all(np.isfinite(values[rows]).all() for rows in blocks):
+        return "correlation matrix holds NaN or infinite entries"
+    if not all(np.array_equal(values[rows], values[:, rows].T) for rows in blocks):
+        return "correlation matrix is not exactly symmetric"
+    return None
+
+
+def _require_borrowable(values: np.ndarray) -> None:
+    problem = _unborrowable(values)
+    if problem:
+        raise ValidationError(problem)
+
+
+@contextmanager
+def _lapack_view(values: np.ndarray, lower: bool) -> Iterator[np.ndarray]:
+    """Lend LAPACK the exactly symmetric C-ordered ``values`` as the
+    Fortran-ordered view ``values.T``, and put it back afterwards.
+
+    A symmetric LAPACK routine told to use the view's lower triangle
+    (``lower``) or upper one reads that triangle and overwrites it and
+    the diagonal in place. As ``values`` is symmetric, the triangle holds
+    the values a Fortran-ordered copy would hold at the same positions,
+    so LAPACK computes the same bits, and the other triangle, which
+    LAPACK does not touch, still holds them too. When the block ends,
+    normally or by an exception, the overwritten strict triangle is
+    copied back from the other one and the diagonal from the copy taken
+    on entry, so ``values`` is bitwise what it was.
+    """
+    diagonal = values.diagonal().copy()
+    view = values.T
+    try:
+        yield view
+    finally:
+        # The view's lower triangle is the upper triangle of ``values``.
+        _copy_upper_to_lower(view if lower else values)
+        np.fill_diagonal(values, diagonal)
+
+
+def _copy_upper_to_lower(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square ``a`` over its strict
+    lower triangle, a block of rows at a time."""
+    for rows in _row_blocks(a.shape[0]):
+        a[rows, : rows.start] = a[: rows.start, rows].T
+        block = a[rows, rows]
+        below = np.tril_indices(len(block), -1)
+        block[below] = block.T[below]
 
 
 def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int | None = None) -> int:
@@ -143,7 +219,12 @@ def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int 
 
 
 def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
-    """Squared multiple correlations, or max |row correlation| as fallback."""
+    """Squared multiple correlations, or max |row correlation| as fallback.
+
+    An exactly symmetric positive definite matrix is inverted in its own
+    memory and put back (:func:`_cholesky_inverse_diagonal`); any other
+    goes to ``scipy.linalg.inv``, which inverts a copy.
+    """
     from scipy.linalg import LinAlgWarning, inv
 
     inverse_diag = _cholesky_inverse_diagonal(corr_values)
@@ -153,6 +234,8 @@ def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
                 # A nearly singular matrix still has an inverse, and its
                 # out-of-range SMCs are clipped below: nothing to warn about.
                 warnings.simplefilter("ignore", LinAlgWarning)
+                # Never with overwrite_a: SciPy 1.17.1 crashes on that
+                # call with a large indefinite Fortran-ordered matrix.
                 inverse_diag = np.diag(inv(corr_values))
         smc = 1.0 - 1.0 / inverse_diag
     except np.linalg.LinAlgError:
@@ -167,18 +250,21 @@ def _cholesky_inverse_diagonal(corr_values: np.ndarray) -> np.ndarray | None:
     """The diagonal of the inverse of an exactly symmetric positive
     definite matrix, or None for any other matrix.
 
-    ``potrf`` and ``potri`` on the upper triangle of one Fortran-ordered
-    copy, in place: the steps SciPy's ``inv`` takes for such a matrix.
+    ``potrf`` and ``potri`` on the upper triangle of the matrix, in its
+    own memory (see :func:`_lapack_view`): the steps SciPy's ``inv``
+    takes for such a matrix. ``clean=0`` keeps ``potrf`` from zeroing the
+    other triangle, which holds the matrix while LAPACK works.
     """
     from scipy.linalg.lapack import dpotrf, dpotri
 
-    if not np.array_equal(corr_values, corr_values.T):
+    if _unborrowable(corr_values):
         return None
-    factor, info = dpotrf(np.array(corr_values, order="F"), lower=0, overwrite_a=1)
-    if info != 0:
-        return None
-    inverse, info = dpotri(factor, lower=0, overwrite_c=1)
-    return np.diag(inverse).copy() if info == 0 else None
+    with _lapack_view(corr_values, lower=False) as a:
+        factor, info = dpotrf(a, lower=0, clean=0, overwrite_a=1)
+        if info != 0:
+            return None
+        inverse, info = dpotri(factor, lower=0, overwrite_c=1)
+        return np.diag(inverse).copy() if info == 0 else None
 
 
 def extract_uls(
@@ -197,37 +283,33 @@ def extract_uls(
     the loading row sums of squares until the largest change drops
     below ``tol``. Communalities are clamped at 1; hitting the clamp
     sets the ``heywood`` flag. Each factor is signed so that its
-    largest-magnitude loading is positive. A correlation matrix with a
-    NaN or infinite entry is an error.
+    largest-magnitude loading is positive. Each pass works in the
+    correlation matrix's own memory and puts it back, so the matrix
+    must be a writable C-ordered float64 array, finite and exactly
+    symmetric.
     """
-    C = np.asarray(corr.values, dtype=np.float64)
+    C = corr.values
+    _require_borrowable(C)
     p = C.shape[0]
-    if C.shape != (p, p):
-        raise ValidationError(f"correlation matrix must be square, got {C.shape}")
     if not 1 <= k <= p:
         raise ValidationError(f"factor count {k} outside [1, {p}]")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be positive and max_iter at least 1")
-    if not np.all(np.isfinite(C)):
-        raise ValidationError("correlation matrix holds NaN or infinite entries")
 
     from scipy.linalg import eigh
 
     h2 = _initial_communalities(C)
-    # LAPACK overwrites its input, so each pass refills this one
-    # Fortran-ordered scratch from C instead of copying C afresh.
-    reduced = np.empty((p, p), order="F")
     loadings = np.zeros((p, k))
     heywood = False
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        reduced[...] = C
-        np.fill_diagonal(reduced, h2)
-        # The k largest eigenpairs, in ascending order; reversed below.
-        eigenvalues, eigenvectors = eigh(
-            reduced, subset_by_index=[p - k, p - 1], overwrite_a=True
-        )
+        with _lapack_view(C, lower=True) as reduced:
+            np.fill_diagonal(reduced, h2)
+            # The k largest eigenpairs, in ascending order; reversed below.
+            eigenvalues, eigenvectors = eigh(
+                reduced, subset_by_index=[p - k, p - 1], overwrite_a=True, check_finite=False
+            )
         scale = np.sqrt(np.clip(eigenvalues[::-1], 0.0, None))
         loadings = eigenvectors[:, ::-1] * scale
         new_h2 = np.sum(loadings * loadings, axis=1)

@@ -239,10 +239,9 @@ def parse_lexical_database(root: str | Path) -> Lexicon:
         noun_offsets.issuperset(chain.from_iterable(noun_entries.values()))
         and adj_offsets.issuperset(chain.from_iterable(adj_entries.values()))
     ):
-        # Name the first unknown offset as the per-sense check always has:
-        # entries in order, each entry's senses in set order.
+        # Name the first unknown offset in index-file order.
         for (lemma, pos), offsets in entries.items():
-            for _, offset in frozenset((pos, offset) for offset in offsets):
+            for offset in offsets:
                 if offset not in known[pos]:
                     raise ParseError(
                         f"index entry {lemma!r} references unknown {pos} synset {offset:08d}",

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .artifacts import LoadingTable
-from .atomic import write_text
+from .atomic import atomic_open, write_text
 from .errors import ValidationError
 from .matrix import DocTermMatrix
 
@@ -183,11 +183,12 @@ def write_loadings_csv(
     quote_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     quoted = [quote_row((term, ""))[: -len(",\n")] for term in terms]
     # The other fields need no quoting; csv.writer writes floats as repr.
-    lines = ["factor,term,loading,retained\n"]
-    for factor, column in enumerate(rotated.T.tolist(), start=1):
-        kept = retained.get(factor, ())
-        lines += [
-            f"{factor},{field},{loading!r},{'true' if term in kept else 'false'}\n"
-            for term, field, loading in zip(terms, quoted, column)
-        ]
-    write_text(path, "".join(lines))
+    # One factor's rows are formatted and written at a time.
+    with atomic_open(path) as handle:
+        handle.write("factor,term,loading,retained\n")
+        for factor, column in enumerate(rotated.T, start=1):
+            kept = retained.get(factor, ())
+            handle.write("".join([
+                f"{factor},{field},{loading!r},{'true' if term in kept else 'false'}\n"
+                for term, field, loading in zip(terms, quoted, column.tolist())
+            ]))

@@ -155,7 +155,8 @@ def reference_document_lemmas(lexicon, review, stopwords) -> set[str]:
 
 
 # The lexical database parser as it was when every entry held a frozenset
-# of sense ids, kept line for line as the oracle of the compact parser.
+# of sense ids, kept line for line as the oracle of the compact parser,
+# except that it checks each entry's offsets in index-file order.
 
 _REF_POS_FROM_TAG = {"n": "noun", "a": "adj", "s": "adj"}
 _REF_ALPHA_RE = re.compile(r"^[a-z]+$")
@@ -186,8 +187,9 @@ def _ref_clean_lemma(word: str) -> str | None:
     return word if _REF_ALPHA_RE.match(word) else None
 
 
-def _ref_parse_index(path: Path, pos: str) -> dict[tuple[str, str], frozenset[SenseId]]:
-    entries: dict[tuple[str, str], frozenset[SenseId]] = {}
+def _ref_parse_index(path: Path, pos: str) -> dict[tuple[str, str], list[int]]:
+    """Each entry's offsets as its index line lists them."""
+    entries: dict[tuple[str, str], list[int]] = {}
     for lineno, line in _ref_content_lines(path):
         parts = line.split()
         try:
@@ -208,7 +210,7 @@ def _ref_parse_index(path: Path, pos: str) -> dict[tuple[str, str], frozenset[Se
         cleaned = _ref_clean_lemma(lemma)
         if cleaned is None:
             continue
-        entries[(cleaned, pos)] = frozenset((pos, offset) for offset in offsets)
+        entries[(cleaned, pos)] = offsets
     return entries
 
 
@@ -274,21 +276,26 @@ def reference_parse_lexical_database(root) -> ReferenceLexicon:
     if missing:
         raise ParseError(f"missing lexical database files: {', '.join(missing)}", path=str(root))
 
-    entries: dict[tuple[str, str], frozenset[SenseId]] = {}
-    entries.update(_ref_parse_index(root / "index.noun", "noun"))
-    entries.update(_ref_parse_index(root / "index.adj", "adj"))
+    listed: dict[tuple[str, str], list[int]] = {}
+    listed.update(_ref_parse_index(root / "index.noun", "noun"))
+    listed.update(_ref_parse_index(root / "index.adj", "adj"))
 
     noun_offsets, noun_pairs = _ref_parse_data(root / "data.noun", "noun")
     adj_offsets, adj_pairs = _ref_parse_data(root / "data.adj", "adj")
     known = {"noun": noun_offsets, "adj": adj_offsets}
 
-    for (lemma, pos), senses in entries.items():
-        for _, offset in senses:
+    # The first unknown offset in index-file order is the one named.
+    for (lemma, pos), offsets in listed.items():
+        for offset in offsets:
             if offset not in known[pos]:
                 raise ParseError(
                     f"index entry {lemma!r} references unknown {pos} synset {offset:08d}",
                     path=str(root),
                 )
+    entries = {
+        (lemma, pos): frozenset((pos, offset) for offset in offsets)
+        for (lemma, pos), offsets in listed.items()
+    }
     antonyms: dict[SenseId, set[SenseId]] = {}
     for source, target in noun_pairs + adj_pairs:
         if target[1] not in known[target[0]]:
@@ -463,6 +470,53 @@ def reference_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 1000)
         top = np.argsort(eigenvalues)[::-1][:k]
         scale = np.sqrt(np.clip(eigenvalues[top], 0.0, None))
         loadings = eigenvectors[:, top] * scale
+        new_h2 = np.sum(loadings * loadings, axis=1)
+        if np.any(new_h2 > 1.0):
+            heywood = True
+            new_h2 = np.minimum(new_h2, 1.0)
+        delta = float(np.max(np.abs(new_h2 - h2)))
+        h2 = new_h2
+        if delta < tol:
+            converged = True
+            break
+    return FactorModel(
+        k=k,
+        loadings=reference_anchor_signs(loadings),
+        communalities=h2,
+        uniquenesses=1.0 - h2,
+        converged=converged,
+        n_iter=iterations,
+        heywood=heywood,
+    )
+
+
+def out_of_place_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 1000) -> FactorModel:
+    """``extract_uls`` as it was before it borrowed the correlation
+    matrix: the SMC start inverts a Fortran-ordered copy, and each pass
+    refills a Fortran-ordered scratch for ``eigh`` to overwrite. The
+    in-place solver must give these bits."""
+    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dpotrf, dpotri
+
+    C = np.asarray(corr.values, dtype=np.float64)
+    p = C.shape[0]
+    factor, info = dpotrf(np.array(C, order="F"), lower=0, overwrite_a=1)
+    assert info == 0, "the out-of-place start covers positive definite matrices"
+    inverse, info = dpotri(factor, lower=0, overwrite_c=1)
+    assert info == 0
+    smc = 1.0 - 1.0 / np.diag(inverse).copy()
+    h2 = np.clip(np.nan_to_num(smc, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+    reduced = np.empty((p, p), order="F")
+    loadings = np.zeros((p, k))
+    heywood = False
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        reduced[...] = C
+        np.fill_diagonal(reduced, h2)
+        eigenvalues, eigenvectors = eigh(reduced, subset_by_index=[p - k, p - 1], overwrite_a=True)
+        scale = np.sqrt(np.clip(eigenvalues[::-1], 0.0, None))
+        loadings = eigenvectors[:, ::-1] * scale
         new_h2 = np.sum(loadings * loadings, axis=1)
         if np.any(new_h2 > 1.0):
             heywood = True

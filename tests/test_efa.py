@@ -11,6 +11,7 @@ from scipy.linalg import LinAlgWarning, eigvalsh
 
 from helpers import (
     from_dense,
+    out_of_place_extract_uls,
     random_binary,
     reference_anchor_signs,
     reference_eigendecompose,
@@ -104,6 +105,9 @@ class TestEigendecompose:
         eigenvalues = eigendecompose(one_factor_corr([0.8, 0.7, 0.6]))
         assert len(eigenvalues) == 3
         assert np.sum(eigenvalues) == pytest.approx(3.0, abs=1e-12)
+
+    def test_empty_matrix(self):
+        assert eigendecompose(corr_from(np.empty((0, 0)))).shape == (0,)
 
     def test_kaiser_count_matches_eigh_reference(self):
         """The eigenvalue-only spectrum picks the same Kaiser count as
@@ -388,12 +392,15 @@ class TestInitialCommunalities:
         inv = scipy.linalg.inv
 
         def counted_inv(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return inv(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "inv", counted_inv)
         _initial_communalities(SMC_CASES[case]())
         assert len(calls) == inv_calls
+        # SciPy 1.17.1 segfaults on inv(A, overwrite_a=True) for a large
+        # indefinite Fortran-ordered A: the fallback must invert a copy.
+        assert all(len(args) == 1 and not kwargs.get("overwrite_a") for args, kwargs in calls)
 
     def test_singular_falls_back_to_row_maximum(self):
         # rows 0 and 1 are equal: Cholesky and LU both meet an exact zero pivot
@@ -417,9 +424,25 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def read_only(C: np.ndarray) -> np.ndarray:
+    C = C.copy()
+    C.flags.writeable = False
+    return C
+
+
+def assert_no_second_matrix(p: int, solver) -> None:
+    """``solver(corr)`` allocates less than half a p x p float64 array
+    and leaves ``corr.values`` bitwise as it found it."""
+    corr = factor_model_corr(np.random.default_rng(p), p, 10)
+    before = corr.values.tobytes()
+    assert traced_peak(solver, corr) <= 0.5 * p * p * 8
+    assert corr.values.tobytes() == before
+
+
 class TestWorkingMemory:
-    """The efa stage holds the correlation matrix and at most one more
-    p x p float64 array at a time."""
+    """The efa stage holds one p x p float64 array, the correlation
+    matrix: the spectrum, the SMC start and every ULS pass run in its
+    memory and put it back, bit for bit, whether they return or raise."""
 
     @pytest.mark.parametrize("p", [600, 800])
     def test_correlation_matrix(self, p):
@@ -429,10 +452,82 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("p", [600, 800])
     def test_extract_uls(self, p):
-        corr = factor_model_corr(np.random.default_rng(p), p, 10)
-        before = corr.values.copy()
-        assert traced_peak(extract_uls, corr, 10, 1e-6, 3) <= 1.5 * p * p * 8
-        assert np.array_equal(corr.values, before)
+        assert_no_second_matrix(p, lambda corr: extract_uls(corr, 10, 1e-6, 3))
+
+    @pytest.mark.parametrize("p", [600, 800])
+    def test_eigendecompose(self, p):
+        assert_no_second_matrix(p, eigendecompose)
+
+    @pytest.mark.parametrize("p", [600, 800])
+    def test_initial_communalities(self, p):
+        assert_no_second_matrix(p, lambda corr: _initial_communalities(corr.values))
+
+    @pytest.mark.parametrize(
+        "module, name, solver",
+        [
+            (scipy.linalg, "eigh", lambda corr: extract_uls(corr, 3)),
+            (scipy.linalg, "eigvalsh", eigendecompose),
+            (scipy.linalg.lapack, "dpotrf", lambda corr: _initial_communalities(corr.values)),
+            (scipy.linalg.lapack, "dpotri", lambda corr: _initial_communalities(corr.values)),
+        ],
+    )
+    def test_lapack_works_in_the_matrix_and_it_is_put_back_on_error(self, module, name, solver, monkeypatch):
+        corr = factor_model_corr(np.random.default_rng(5), 70, 3)
+        before = corr.values.tobytes()
+        lapack_call = getattr(module, name)
+        seen = []
+
+        def overwrite_then_fail(a, *args, **kwargs):
+            seen.append(np.shares_memory(a, corr.values) and a.flags.f_contiguous)
+            lapack_call(a, *args, **kwargs)
+            raise RuntimeError("LAPACK stopped")
+
+        monkeypatch.setattr(module, name, overwrite_then_fail)
+        with pytest.raises(RuntimeError, match="LAPACK stopped"):
+            solver(corr)
+        assert seen == [True]
+        assert corr.values.tobytes() == before
+
+    @pytest.mark.parametrize("solver", [lambda corr: extract_uls(corr, 2), eigendecompose])
+    def test_non_symmetric_matrix_rejected(self, solver):
+        corr = corr_from(non_symmetric_corr())
+        before = corr.values.tobytes()
+        with pytest.raises(ValidationError, match="not exactly symmetric"):
+            solver(corr)
+        assert corr.values.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda C: C.astype(np.float32), read_only],
+        ids=["fortran-ordered", "float32", "read-only"],
+    )
+    @pytest.mark.parametrize("solver", [lambda corr: extract_uls(corr, 2), eigendecompose])
+    def test_matrix_that_cannot_be_borrowed_rejected(self, layout, solver):
+        values = layout(factor_model_corr(np.random.default_rng(6), 12, 2).values)
+        with pytest.raises(ValidationError, match="writable C-ordered float64"):
+            solver(CorrelationMatrix(values=values, terms=tuple(f"t{i}" for i in range(12))))
+
+
+class TestUlsMatchesOutOfPlaceLoop:
+    """ULS in the correlation matrix's own memory gives the bits of the
+    loop that inverted a copy and refilled a scratch for each pass."""
+
+    @pytest.mark.parametrize(
+        "seed, p, m, k, max_iter",
+        [(0, 6, 2, 1, 1000), (1, 40, 5, 5, 1000), (2, 120, 8, 8, 1000), (3, 30, 4, 1, 1000),
+         (4, 9, 3, 9, 25), (5, 200, 10, 12, 4), (6, 50, 6, 50, 10)],
+    )
+    def test_bitwise_equal(self, seed, p, m, k, max_iter):
+        corr = factor_model_corr(np.random.default_rng(seed), p, m)
+        before = corr.values.tobytes()
+        model = extract_uls(corr, k, max_iter=max_iter)
+        assert corr.values.tobytes() == before
+        reference = out_of_place_extract_uls(corr, k, max_iter=max_iter)
+        assert (model.n_iter, model.converged, model.heywood) == (
+            reference.n_iter, reference.converged, reference.heywood,
+        )
+        for field in ("loadings", "communalities", "uniquenesses"):
+            assert getattr(model, field).tobytes() == getattr(reference, field).tobytes(), field
 
 
 def grid_best_criterion(W: np.ndarray, n_angles: int = 10001) -> float:

@@ -1,10 +1,11 @@
 """The JSON emitters write exactly what ``json.dumps`` writes.
 
 ``dictionary.json`` is encoded from a per-term template, and every other
-sorted-key artifact (``model.json`` among them) by ``_json_text``, which
-joins float lists in one call; on any payload the text must equal
-``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
-(plus a newline for a whole artifact).
+sorted-key artifact (``model.json`` among them) by ``_json_chunks``, which
+joins float lists in one call and which ``_write_json`` writes piece by
+piece; on any payload the text must equal ``json.dumps(payload,
+indent=2, sort_keys=True, ensure_ascii=False)`` (plus a newline for a
+whole artifact).
 """
 
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifactor import TermDictionary
-from lexifactor.artifacts import _json_text
+from lexifactor.artifacts import _json_chunks, _write_json
 
 
 def reference(payload) -> str:
@@ -70,14 +71,30 @@ def test_dictionary_text_equals_json_dumps(payload):
     assert TermDictionary.count_json_terms(data) == len(payload["terms"])
 
 
+def json_text(value) -> str:
+    return "".join(_json_chunks(value))
+
+
 @given(value=json_values)
 @settings(max_examples=300, deadline=None)
 def test_json_text_equals_json_dumps(value):
-    assert _json_text(value) + "\n" == reference(value)
+    assert json_text(value) + "\n" == reference(value)
 
 
 def test_non_finite_floats_are_spelled_as_json_spells_them():
     payload = {"eigenvalues": [float("nan"), float("inf"), float("-inf"), -0.0], "k": float("nan")}
-    assert _json_text(payload) + "\n" == reference(payload)
-    assert "NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n" in _json_text(payload)
-    assert '"k": NaN' in _json_text(payload)
+    assert json_text(payload) + "\n" == reference(payload)
+    assert "NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n" in json_text(payload)
+    assert '"k": NaN' in json_text(payload)
+
+
+def test_written_artifact_equals_json_dumps(tmp_path):
+    payload = {
+        "k": 2,
+        "terms": ["glass", "bright", "\u00e9clat"],
+        "loadings": [[0.5, -0.25], [1e-300, float("nan")], [0.0, -0.0]],
+        "nested": {"empty": [], "none": None, "rows": [[], {}, [True, "x"]]},
+        "converged": False,
+    }
+    _write_json(tmp_path / "model.json", payload)
+    assert (tmp_path / "model.json").read_bytes() == reference(payload).encode("utf-8")

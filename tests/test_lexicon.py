@@ -1,7 +1,11 @@
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from helpers import (
     reference_lemmatize,
     reference_parse_lexical_database,
 )
+import lexifactor
 from lexifactor import (
     EmptyDictionaryError,
     Lexicon,
@@ -106,6 +111,32 @@ class TestParseLexicalDatabase:
         index.write_text(index.read_text() + "phantom n 1 1 @ 1 0 99999999\n")
         with pytest.raises(ParseError, match="phantom"):
             parse_lexical_database(tmp_path)
+
+    def test_first_unknown_offset_named_under_any_hash_seed(self, tmp_path):
+        # A frozenset of (pos, offset) senses iterates in an order that
+        # follows PYTHONHASHSEED; under seed 6 it yields 99999903 first.
+        fx.write_lexical_database(tmp_path)
+        index = tmp_path / "index.noun"
+        index.write_text(index.read_text() + "phantom n 3 1 @ 3 0 99999901 99999902 99999903\n")
+        script = (
+            "import sys\n"
+            "from helpers import reference_parse_lexical_database\n"
+            "from lexifactor import ParseError, parse_lexical_database\n"
+            "for parse in (parse_lexical_database, reference_parse_lexical_database):\n"
+            "    try:\n"
+            "        parse(sys.argv[1])\n"
+            "    except ParseError as exc:\n"
+            "        print(exc)\n"
+        )
+        paths = (Path(lexifactor.__file__).parents[1], Path(__file__).parent, os.environ.get("PYTHONPATH"))
+        for seed in ("0", "6"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(map(str, filter(None, paths)))}
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path)], env=env, check=True, capture_output=True, text=True
+            )
+            messages = result.stdout.splitlines()
+            assert len(messages) == 2, (seed, result.stdout)
+            assert all("'phantom' references unknown noun synset 99999901" in m for m in messages), (seed, messages)
 
     def test_malformed_data_line(self, tmp_path):
         fx.write_lexical_database(tmp_path)
