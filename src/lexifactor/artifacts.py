@@ -168,11 +168,13 @@ def table_from_payload(payload: dict, path: str | Path) -> LoadingTable:
 
 @dataclass(frozen=True, slots=True)
 class TermProvenance:
-    """Why a term entered the dictionary: pos, claimed senses, frequency."""
+    """Why a term entered the dictionary: pos, claimed senses, frequency,
+    and the sorted surface tokens of the corpus that lemmatize to it."""
 
     pos: str
     sense_ids: tuple[SenseId, ...]
     doc_freq: int
+    forms: tuple[str, ...] = ()
 
 
 @dataclass
@@ -186,37 +188,33 @@ class TermDictionary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def to_json_text(self) -> str:
-        """``dictionary.json``: the text that ``json.dump`` writes with
-        ``indent=2, sort_keys=True, ensure_ascii=False``, plus a newline,
-        for the payload :meth:`from_json_dict` reads, built from one
-        template per term instead of through the pure-Python encoder."""
-        records = []
+    def json_lines(self) -> Iterator[str]:
+        """``dictionary.json``, the payload :meth:`from_json_dict` reads, a
+        line at a time: one line per term, each the record as
+        ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` writes
+        it, built from one template instead of through the encoder."""
+        if not self.terms:
+            yield '{"terms": []}\n'
+            return
+        separator = '{"terms": [\n'
         for term in self.terms:
             entry = self.provenance[term]
-            senses = ",\n".join(
-                [
-                    f"        [\n          {encode_basestring(pos)},\n          {offset}\n        ]"
-                    for pos, offset in entry.sense_ids
-                ]
+            forms = ", ".join(map(encode_basestring, entry.forms))
+            senses = ", ".join([f"[{encode_basestring(pos)}, {offset}]" for pos, offset in entry.sense_ids])
+            yield (
+                f'{separator}{{"doc_freq": {entry.doc_freq}, "forms": [{forms}], '
+                f'"pos": {encode_basestring(entry.pos)}, "sense_ids": [{senses}], '
+                f'"term": {encode_basestring(term)}}}'
             )
-            senses = f"[\n{senses}\n      ]" if senses else "[]"
-            records.append(
-                f'    {{\n      "doc_freq": {entry.doc_freq},\n'
-                f'      "pos": {encode_basestring(entry.pos)},\n'
-                f'      "sense_ids": {senses},\n'
-                f'      "term": {encode_basestring(term)}\n    }}'
-            )
-        if not records:
-            return '{\n  "terms": []\n}\n'
-        return '{\n  "terms": [\n' + ",\n".join(records) + "\n  ]\n}\n"
+            separator = ",\n"
+        yield "\n]}\n"
 
     @staticmethod
     def count_json_terms(data: bytes) -> int:
-        """Terms in ``dictionary.json`` bytes from :meth:`to_json_text`,
-        counted without decoding: one ``"term"`` key line per record, and
-        no JSON string holds a raw newline."""
-        return data.count(b'\n      "term": ')
+        """Terms in ``dictionary.json`` bytes from :meth:`json_lines`,
+        counted without decoding: each record starts a line with ``{``,
+        and no JSON string holds a raw newline."""
+        return data.count(b"\n{")
 
     @classmethod
     def from_json_dict(cls, payload: dict, path: str | Path) -> "TermDictionary":
@@ -229,6 +227,7 @@ class TermDictionary:
                     pos=record["pos"],
                     doc_freq=record["doc_freq"],
                     sense_ids=tuple((pos, int(offset)) for pos, offset in record["sense_ids"]),
+                    forms=tuple(record["forms"]),
                 )
                 for record in records
             }

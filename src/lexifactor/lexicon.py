@@ -12,7 +12,10 @@ once. It keeps each review's distinct lemmas as CSR arrays of lemma
 ids, which both the dictionary's document frequencies and the
 document-term matrix count. Within one ``pipeline`` run the dictionary
 pass hands these arrays to the matrix stage, so the run tokenizes the
-corpus once and parses the database once.
+corpus once and parses the database once. Each term of the dictionary
+also records its forms, the distinct tokens that the pass mapped to
+it, so that a ``matrix`` stage run on its own finds each review's terms
+by token lookup, without the database.
 
 The parsed lexicon is compact: each ``(lemma, pos)`` entry holds a
 tuple of int synset offsets, its part of speech implied by the key, and
@@ -327,26 +330,35 @@ class ReviewLemmas:
         and each distinct remaining token is lemmatized once, through a
         token→lemma-id map that ends with the pass.
         """
-        lemma_of: dict[Token, int] = {}  # -1: the token has no lemma
-        vocabulary: dict[str, int] = {}
-        indptr = [0]
-        ids: list[int] = []
-        for review in reviews:
-            tokens = set(tokenize(review.text)) - stopwords
-            for token in tokens.difference(lemma_of):
-                lemma = lemmatize_token(lexicon, token)
-                if lemma is None:
-                    lemma_of[token] = -1
-                else:
-                    lemma_of[token] = vocabulary.setdefault(lemma, len(vocabulary))
-            found = set(map(lemma_of.__getitem__, tokens))
-            found.discard(-1)
-            ids.extend(found)
-            indptr.append(len(ids))
-        self.vocabulary = tuple(vocabulary)
-        self.indptr = np.array(indptr, dtype=np.int64)
-        self.ids = np.array(ids, dtype=np.int64)
+        _lexical_pass(self, reviews, lexicon, stopwords)
         return self
+
+
+def _lexical_pass(
+    lemmas: ReviewLemmas, reviews: Iterable[Review], lexicon: Lexicon, stopwords: frozenset[str]
+) -> dict[Token, int]:
+    """Fill ``lemmas`` as :meth:`ReviewLemmas.read` does; return the map of
+    every distinct non-stopword token to its lemma id, -1 for none."""
+    lemma_of: dict[Token, int] = {}
+    vocabulary: dict[str, int] = {}
+    indptr = [0]
+    ids: list[int] = []
+    for review in reviews:
+        tokens = set(tokenize(review.text)) - stopwords
+        for token in tokens.difference(lemma_of):
+            lemma = lemmatize_token(lexicon, token)
+            if lemma is None:
+                lemma_of[token] = -1
+            else:
+                lemma_of[token] = vocabulary.setdefault(lemma, len(vocabulary))
+        found = set(map(lemma_of.__getitem__, tokens))
+        found.discard(-1)
+        ids.extend(found)
+        indptr.append(len(ids))
+    lemmas.vocabulary = tuple(vocabulary)
+    lemmas.indptr = np.array(indptr, dtype=np.int64)
+    lemmas.ids = np.array(ids, dtype=np.int64)
+    return lemma_of
 
 
 def build_dictionary(
@@ -368,10 +380,24 @@ def build_dictionary(
     The lexical pass over ``reviews`` fills ``lemmas`` (see
     :meth:`ReviewLemmas.read`), ready for
     :func:`lexifactor.matrix.build_matrix`, so that a caller building
-    the matrix next neither tokenizes nor lemmatizes again.
+    the matrix next neither tokenizes nor lemmatizes again. Each term's
+    provenance lists its ``forms``: the sorted distinct non-stopword
+    tokens of ``reviews`` whose lemma it is, from which
+    :func:`~lexifactor.matrix.build_matrix` can build the same matrix
+    with neither the lexicon nor the stopwords.
     """
-    lemmas = (ReviewLemmas() if lemmas is None else lemmas).read(reviews, lexicon, stopwords)
+    lemmas = ReviewLemmas() if lemmas is None else lemmas
+    lemma_of = _lexical_pass(lemmas, reviews, lexicon, stopwords)
     vocabulary = lemmas.vocabulary
+    # The tokens that have a lemma, grouped by lemma id, so that each
+    # lemma's forms are one slice; the tokens without one (-1) sort first
+    # and are cut off. The greedy pass holds this list, not the token map.
+    token_lemma = np.fromiter(lemma_of.values(), dtype=np.int64, count=len(lemma_of))
+    by_lemma = np.argsort(token_lemma, kind="stable")
+    bounds = np.searchsorted(token_lemma[by_lemma], np.arange(len(vocabulary) + 1))
+    forms = np.fromiter(lemma_of, dtype=object, count=len(lemma_of))[by_lemma[bounds[0] :]].tolist()
+    form_bounds = (bounds - bounds[0]).tolist()
+    del lemma_of
     doc_freq = np.bincount(lemmas.ids, minlength=len(vocabulary))
     # A stable sort by falling frequency over alphabetically ordered ids
     # breaks frequency ties alphabetically.
@@ -392,7 +418,12 @@ def build_dictionary(
         claimed.update(senses)
         for sense in senses:
             blocked.update(lexicon.antonyms.get(sense, ()))
-        provenance[lemma] = TermProvenance(pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq)
+        provenance[lemma] = TermProvenance(
+            pos=pos,
+            sense_ids=tuple(sorted(senses)),
+            doc_freq=freq,
+            forms=tuple(sorted(forms[form_bounds[lemma_id] : form_bounds[lemma_id + 1]])),
+        )
 
     if not terms:
         raise EmptyDictionaryError("no candidate terms survived dictionary construction")

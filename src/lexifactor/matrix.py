@@ -2,13 +2,16 @@
 
 The matrix is binary and sparse: row ``d`` column ``t`` is 1 exactly
 when some non-stopword token of document ``d`` lemmatizes to dictionary
-term ``t``, so column ``t`` holds the term's document frequency. It is
-built from the per-review lemma ids of the lexical pass
+term ``t``, so column ``t`` holds the term's document frequency. Within
+one run it is built from the per-review lemma ids of the lexical pass
 (:class:`lexifactor.lexicon.ReviewLemmas`) that the dictionary pass
-fills, so building it needs no second pass over the text. It is stored
-in compressed sparse row (CSR) form: the columns of row ``d`` are
-``indices[indptr[d]:indptr[d + 1]]``, ascending and unique. Every
-consumer works on those two arrays directly.
+fills, so building it needs no second pass over the text. Built from
+the dictionary alone, it looks each review's tokens up among the terms'
+recorded surface forms, with neither the lexical database nor the
+stopword list. It is stored in compressed sparse row (CSR) form: the
+columns of row ``d`` are ``indices[indptr[d]:indptr[d + 1]]``,
+ascending and unique. Every consumer works on those two arrays
+directly.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyMatrixError, ValidationError
-from .ingest import Review
+from .ingest import Review, tokenize
 
-# tokenize and lemmatize_token are not called here; they stay importable
-# from this module because bench/traced.py counts their calls through it.
-from .ingest import tokenize  # noqa: F401
+# lemmatize_token is not called here; it stays importable from this
+# module because bench/traced.py counts its calls through it.
 from .lexicon import Lexicon, ReviewLemmas, TermDictionary, lemmatize_token  # noqa: F401
 
 
@@ -78,17 +80,24 @@ class ColumnStats(NamedTuple):
 def build_matrix(
     reviews: Sequence[Review],
     dictionary: TermDictionary,
-    lemmas: ReviewLemmas | Lexicon,
+    lemmas: ReviewLemmas | Lexicon | None = None,
 ) -> DocTermMatrix:
     """Map each review onto the dictionary columns its lemmas name.
 
     ``lemmas`` is the lexical pass over ``reviews`` that
     :func:`lexifactor.lexicon.build_dictionary` filled, so the matrix is
-    built without tokenizing. Given a :class:`Lexicon` instead, this
-    runs that pass itself (:meth:`ReviewLemmas.read`) with an empty
-    stopword list.
+    built without tokenizing. Without it, each review is tokenized and
+    its tokens are looked up among the terms' ``forms``: for the reviews
+    the dictionary was built from, each column then counts exactly the
+    reviews its term's ``doc_freq`` counted. Given a :class:`Lexicon`, as
+    the corpus-scale acceptance criterion calls it, this runs the
+    lexical pass itself (:meth:`ReviewLemmas.read`) with an empty
+    stopword list, so there a stopword token whose lemma is a term sets
+    that term's column although ``doc_freq`` did not count it.
     """
-    if isinstance(lemmas, Lexicon):
+    if lemmas is None:
+        lemmas = _term_lemmas(reviews, dictionary)
+    elif isinstance(lemmas, Lexicon):
         lemmas = ReviewLemmas().read(reviews, lemmas)
     n_docs, n_terms = len(reviews), len(dictionary)
     if len(lemmas.indptr) != n_docs + 1:
@@ -108,6 +117,28 @@ def build_matrix(
         terms=dictionary.terms,
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_docs)))),
         indices=indices,
+    )
+
+
+def _term_lemmas(reviews: Sequence[Review], dictionary: TermDictionary) -> ReviewLemmas:
+    """Each review's terms as lemma ids over the vocabulary of terms: the
+    terms of which one of its tokens is a recorded surface form."""
+    column_of = {
+        form: column
+        for column, term in enumerate(dictionary.terms)
+        for form in dictionary.provenance[term].forms
+    }
+    indptr = [0]
+    ids: list[int] = []
+    for review in reviews:
+        found = set(map(column_of.get, tokenize(review.text)))
+        found.discard(None)
+        ids.extend(found)
+        indptr.append(len(ids))
+    return ReviewLemmas(
+        vocabulary=dictionary.terms,
+        indptr=np.array(indptr, dtype=np.int64),
+        ids=np.array(ids, dtype=np.int64),
     )
 
 

@@ -9,8 +9,10 @@ dictionary and the dict stage's per-review lemmas. The run then reads
 the corpus once and tokenizes it once. Besides the manifest it reads
 back two artifacts only: ``filtered.mtx`` in the efa and report stages
 and ``loading_table.json`` in the report stage. It writes the same
-bytes as the stages run one by one: a lone ``matrix`` stage makes the
-dict stage's lexical pass again, with the same stopwords. Every
+bytes as the stages run one by one: a lone ``matrix`` stage reads
+``reviews.jsonl`` and ``dictionary.json`` only, and finds each review's
+terms among the surface forms that the dictionary records for each
+term, with neither the lexical database nor the stopword list. Every
 artifact is encoded once and written crash-safely. The manifest
 records, per stage, artifact checksums and basic counts plus the
 config snapshot; timestamps, thread counts, and directory locations
@@ -45,7 +47,7 @@ from .artifacts import (
     table_from_payload,
     table_payload,
 )
-from .atomic import atomic_open, write_text
+from .atomic import atomic_open
 from .config import PipelineConfig, parse_factor_spec
 from .efa import (
     FactorModel,
@@ -173,21 +175,17 @@ def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
     return {"reviews": len(reviews)}
 
 
-def _load_lexicon(config: PipelineConfig):
-    root = _require_input(config.lexicon_dir, "lexicon_dir")
-    return parse_lexical_database(root)
-
-
 def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the term dictionary from the normalized reviews."""
     reviews = handoff.reviews
     if reviews is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
-    lexicon = _load_lexicon(config)
+    lexicon = parse_lexical_database(_require_input(config.lexicon_dir, "lexicon_dir"))
     lemmas = ReviewLemmas()
     dictionary = build_dictionary(reviews, lexicon, load_stopwords(config.stopwords), lemmas)
     del lexicon  # released before encoding, to keep the run's peak memory down
-    write_text(config.out / "dictionary.json", dictionary.to_json_text())
+    with atomic_open(config.out / "dictionary.json") as handle:
+        handle.writelines(dictionary.json_lines())
     handoff.reviews, handoff.dictionary, handoff.lemmas = reviews, dictionary, lemmas
     return {"terms": len(dictionary)}
 
@@ -200,7 +198,6 @@ def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
         dictionary_path = _require_artifact(config.out / "dictionary.json")
         dictionary = TermDictionary.from_json_dict(_read_json(dictionary_path), dictionary_path)
-        lemmas = ReviewLemmas().read(reviews, _load_lexicon(config), load_stopwords(config.stopwords))
     matrix = build_matrix(reviews, dictionary, lemmas)
     write_matrix_market(matrix, config.out / "matrix.mtx")
 
@@ -295,10 +292,9 @@ def _fresh_manifest(config: PipelineConfig) -> dict:
     return {"version": __version__, "config": config.snapshot(), "stages": {}}
 
 
-def _update_manifest(config: PipelineConfig, stage: str, counts: dict) -> None:
-    """Record ``stage``'s artifacts. When they differ from the recorded
-    ones, the later stages' entries are dropped: those stages consumed
-    the old artifacts, so their own are stale until they run again."""
+def _open_manifest(config: PipelineConfig) -> dict:
+    """The manifest in the output directory, or a fresh one. A manifest
+    of another configuration is refused, before any stage writes."""
     path = _manifest_path(config)
     manifest = _read_manifest(path) if path.is_file() else _fresh_manifest(config)
     if manifest.get("config") != config.snapshot():
@@ -306,13 +302,21 @@ def _update_manifest(config: PipelineConfig, stage: str, counts: dict) -> None:
             "output directory holds artifacts from a different configuration; "
             "re-run the full pipeline or use a fresh output directory"
         )
+    return manifest
+
+
+def _record_stage(config: PipelineConfig, manifest: dict, stage: str, counts: dict) -> None:
+    """Record ``stage``'s artifacts in ``manifest`` and write it. When they
+    differ from the recorded ones, the later stages' entries are dropped:
+    those stages consumed the old artifacts, so their own are stale until
+    they run again."""
     stages = manifest["stages"]
     artifacts = {name: _sha256(config.out / name) for name in STAGE_ARTIFACTS[stage]}
     if stages.get(stage, {}).get("artifacts") != artifacts:
         for later in STAGES[STAGES.index(stage) + 1 :]:
             stages.pop(later, None)
     stages[stage] = {"artifacts": artifacts, "counts": counts}
-    _write_json(path, manifest)
+    _write_json(_manifest_path(config), manifest)
 
 
 def cmd_stage(name: str, config: PipelineConfig) -> None:
@@ -321,8 +325,9 @@ def cmd_stage(name: str, config: PipelineConfig) -> None:
         raise ValidationError(f"unknown stage: {name!r}")
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
+        manifest = _open_manifest(config)
         counts = STAGE_FUNCS[name](config, Handoff())
-        _update_manifest(config, name, counts)
+        _record_stage(config, manifest, name, counts)
 
 
 def cmd_pipeline(config: PipelineConfig) -> None:
@@ -330,7 +335,8 @@ def cmd_pipeline(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
         _manifest_path(config).unlink(missing_ok=True)
+        manifest = _fresh_manifest(config)
         handoff = Handoff()
         for stage in STAGES:
             counts = STAGE_FUNCS[stage](config, handoff)
-            _update_manifest(config, stage, counts)
+            _record_stage(config, manifest, stage, counts)

@@ -340,10 +340,16 @@ def reference_lemmatize(lexicon, token: str, pos: str) -> str | None:
 
 
 def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
-    """Greedy dictionary over per-occurrence candidate lemmas."""
+    """Greedy dictionary over per-occurrence candidate lemmas; a term's
+    forms are the distinct non-stopword tokens that lemmatize to it."""
     doc_freq = Counter()
+    forms: dict[str, set[str]] = {}
     for review in reviews:
         doc_freq.update(reference_document_lemmas(lexicon, review, stopwords))
+        for token in tokenize(review.text):
+            lemma = None if token in stopwords else lemmatize_token(lexicon, token)
+            if lemma is not None:
+                forms.setdefault(lemma, set()).add(token)
     claimed, blocked, terms, provenance = set(), set(), [], {}
     for lemma, freq in sorted(doc_freq.items(), key=lambda item: (-item[1], item[0])):
         pos = "noun" if (lemma, "noun") in lexicon.entries else "adj"
@@ -354,7 +360,9 @@ def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
         claimed.update(senses)
         for sense in senses:
             blocked.update(lexicon.antonyms.get(sense, ()))
-        provenance[lemma] = TermProvenance(pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq)
+        provenance[lemma] = TermProvenance(
+            pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq, forms=tuple(sorted(forms[lemma]))
+        )
     if not terms:
         raise EmptyDictionaryError("no candidate terms survived dictionary construction")
     return TermDictionary(

@@ -1,16 +1,17 @@
 """The JSON emitters write exactly what ``json.dumps`` writes.
 
-``dictionary.json`` is encoded from a per-term template, and every other
-sorted-key artifact (``model.json`` among them) by ``_json_chunks``, which
-joins float lists in one call and which ``_write_json`` writes piece by
-piece; on any payload the text must equal ``json.dumps(payload,
-indent=2, sort_keys=True, ensure_ascii=False)`` (plus a newline for a
-whole artifact).
+``dictionary.json`` is encoded from a per-term template, one term per
+line: each line must equal ``json.dumps(record, sort_keys=True,
+ensure_ascii=False)``. Every other sorted-key artifact (``model.json``
+among them) is encoded by ``_json_chunks``, which joins float lists in
+one call and which ``_write_json`` writes piece by piece; on any payload
+the text must equal ``json.dumps(payload, indent=2, sort_keys=True,
+ensure_ascii=False)`` (plus a newline for a whole artifact).
 """
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexifactor import TermDictionary
@@ -19,6 +20,14 @@ from lexifactor.artifacts import _json_chunks, _write_json
 
 def reference(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def dictionary_reference(payload) -> str:
+    """``{"terms": [`` and ``]}`` around one sorted-key record per line."""
+    records = [json.dumps(record, sort_keys=True, ensure_ascii=False) for record in payload["terms"]]
+    if not records:
+        return '{"terms": []}\n'
+    return '{"terms": [\n' + ",\n".join(records) + "\n]}\n"
 
 
 # Any text, drawing often the characters JSON escapes (quote, backslash,
@@ -42,6 +51,7 @@ dictionary_payloads = st.lists(
             "pos": texts,
             "doc_freq": ints,
             "sense_ids": st.lists(st.tuples(texts, ints).map(list), max_size=3),
+            "forms": st.lists(texts, max_size=3),
         }
     ),
     max_size=5,
@@ -62,11 +72,20 @@ json_values = st.recursive(
 
 
 @given(payload=dictionary_payloads)
+@example(
+    payload={
+        "terms": [
+            {"term": "\ud800", "pos": "noun", "doc_freq": 1, "sense_ids": [], "forms": ["\ud800s", "\n{"]},
+            {"term": "{", "pos": "\udfff", "doc_freq": 2, "sense_ids": [["\n{", 3]], "forms": []},
+        ]
+    }
+)
 @settings(max_examples=200, deadline=None)
 def test_dictionary_text_equals_json_dumps(payload):
     dictionary = TermDictionary.from_json_dict(payload, "dictionary.json")
-    text = dictionary.to_json_text()
-    assert text == reference(payload)
+    text = "".join(dictionary.json_lines())
+    assert text == dictionary_reference(payload)
+    assert json.loads(text) == payload
     data = text.encode("utf-8", "surrogatepass")  # the texts include lone surrogates
     assert TermDictionary.count_json_terms(data) == len(payload["terms"])
 

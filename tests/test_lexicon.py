@@ -449,7 +449,7 @@ class TestBuildDictionary:
         dictionary = build_dictionary(
             _reviews(["suite ticket", "good noise"]), lexicon, stopwords
         )
-        restored = TermDictionary.from_json_dict(json.loads(dictionary.to_json_text()), "dictionary.json")
+        restored = TermDictionary.from_json_dict(json.loads("".join(dictionary.json_lines())), "dictionary.json")
         assert restored.terms == dictionary.terms
         assert restored.index == dictionary.index
         assert restored.provenance == dictionary.provenance

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from helpers import (
 )
 from lexifactor import (
     EmptyDictionaryError,
+    TermDictionary,
     EmptyMatrixError,
     Review,
     ValidationError,
@@ -24,6 +28,7 @@ from lexifactor import (
     filter_low_variance,
     filter_top_variance,
 )
+from lexifactor.artifacts import TermProvenance
 from lexifactor.lexicon import ReviewLemmas
 from wordnet_fixture import expected_adj_lemmas, expected_noun_lemmas
 
@@ -96,12 +101,16 @@ class TestBuildMatrix:
             build_matrix(reviews[:1], small_dictionary, lemmas)
 
 
-_review_text = st.lists(
-    st.tuples(
-        st.sampled_from(LEXICAL_WORDS), st.sampled_from([" ", ", ", "! ", "7", "\n"]), st.booleans()
-    ),
-    max_size=12,
-).map(lambda parts: "".join((w.upper() if up else w) + sep for w, sep, up in parts))
+def review_texts(words):
+    """Review texts of up to 12 of ``words``, repeats included, in any
+    case and with assorted separators."""
+    return st.lists(
+        st.tuples(st.sampled_from(words), st.sampled_from([" ", ", ", "! ", "7", "\n"]), st.booleans()),
+        max_size=12,
+    ).map(lambda parts: "".join((w.upper() if up else w) + sep for w, sep, up in parts))
+
+
+_review_text = review_texts(LEXICAL_WORDS)
 
 
 def lemma_sets(lemmas: ReviewLemmas) -> list[set[str]]:
@@ -163,6 +172,66 @@ class TestDocFreqIsColumnCount:
         except EmptyDictionaryError:
             return
         df = column_stats(build_matrix(reviews, dictionary, lemmas)).df
+        assert df.tolist() == [dictionary.provenance[t].doc_freq for t in dictionary.terms]
+
+
+@pytest.fixture(scope="module")
+def glasses_lexicon(lexicon):
+    """The fixture lexicon plus a noun lemma "glasses", which the token
+    "glasses" never reaches (the "ses" rule makes it "glass" first), and
+    an irregular "specs" whose base it is."""
+    return replace(
+        lexicon,
+        entries={**lexicon.entries, ("glasses", "noun"): (9100,)},
+        exceptions={**lexicon.exceptions, ("specs", "noun"): "glasses"},
+    )
+
+
+class TestMatrixFromForms:
+    """Given the dictionary alone, build_matrix finds each review's terms
+    among the terms' recorded forms, and builds the matrix of the lexical
+    pass that built the dictionary."""
+
+    def test_token_that_is_a_lemma_counts_where_it_lemmatizes(self, glasses_lexicon):
+        reviews = [
+            Review(id="a", source="g2", text="glasses"),
+            Review(id="b", source="g2", text="specs, glass"),
+            Review(id="c", source="g2", text="Glasses and specs"),
+        ]
+        lemmas = ReviewLemmas()
+        dictionary = build_dictionary(reviews, glasses_lexicon, frozenset({"and"}), lemmas)
+        assert dictionary.terms == ("glass", "glasses")
+        assert dictionary.provenance["glass"].forms == ("glass", "glasses")
+        assert dictionary.provenance["glasses"].forms == ("specs",)
+        matrix = build_matrix(reviews, dictionary)
+        assert rows_of(matrix) == ((0,), (0, 1), (0, 1))
+        assert matrix == build_matrix(reviews, dictionary, lemmas)
+
+    def test_forms_default_to_empty(self):
+        provenance = TermProvenance(pos="noun", sense_ids=(("noun", 1),), doc_freq=0)
+        assert provenance.forms == ()
+        dictionary = TermDictionary(terms=("suite",), index={"suite": 0}, provenance={"suite": provenance})
+        reviews = [Review(id="a", source="g2", text="suite")]
+        assert rows_of(build_matrix(reviews, dictionary)) == ((),)
+
+    @given(
+        texts=st.lists(review_texts([*LEXICAL_WORDS, "specs", "spec"]), min_size=1, max_size=8),
+        stopwords=st.frozensets(st.sampled_from([*LEXICAL_WORDS, "specs"]), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_lexical_pass(self, glasses_lexicon, texts, stopwords):
+        reviews = [Review(id=f"r{i}", source="g2", text=text) for i, text in enumerate(texts)]
+        lemmas = ReviewLemmas()
+        try:
+            dictionary = build_dictionary(reviews, glasses_lexicon, stopwords, lemmas)
+        except EmptyDictionaryError:
+            return
+        expected = build_matrix(reviews, dictionary, lemmas)
+        assert build_matrix(reviews, dictionary) == expected
+        # as a lone matrix command reads it back from dictionary.json
+        payload = json.loads("".join(dictionary.json_lines()))
+        assert build_matrix(reviews, TermDictionary.from_json_dict(payload, "dictionary.json")) == expected
+        df = column_stats(expected).df
         assert df.tolist() == [dictionary.provenance[t].doc_freq for t in dictionary.terms]
 
 

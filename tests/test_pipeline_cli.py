@@ -380,6 +380,63 @@ class TestWorkCounts:
         assert tokenized == Counter(review.text for review in load_reviews(corpus))
 
 
+class TestLoneMatrixStage:
+    """A lone ``matrix`` command reads ``reviews.jsonl`` and
+    ``dictionary.json`` only: the terms' recorded forms stand in for the
+    lexical database and the stopword list."""
+
+    def test_needs_neither_lexicon_nor_lemmatizer_nor_stopwords(
+        self, corpus, lexicon_dir, tmp_path, monkeypatch
+    ):
+        whole, staged = tmp_path / "whole", tmp_path / "staged"
+        assert run_pipeline(corpus, lexicon_dir, whole) == 0
+        assert [run_command(stage, corpus, lexicon_dir, staged) for stage in ("ingest", "dict")] == [0, 0]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the matrix stage used the lexical layer")
+
+        for module, name in (
+            (pipeline_module, "parse_lexical_database"),
+            (lexicon_module, "parse_lexical_database"),
+            (pipeline_module, "load_stopwords"),
+            (lexicon_module, "load_stopwords"),
+            (lexicon_module, "lemmatize_token"),
+            (matrix_module, "lemmatize_token"),
+        ):
+            monkeypatch.setattr(module, name, unused)
+        assert run_command("matrix", corpus, lexicon_dir, staged) == 0
+        monkeypatch.undo()
+        assert [run_command(stage, corpus, lexicon_dir, staged) for stage in ("efa", "report")] == [0, 0]
+        assert artifact_bytes(staged) == artifact_bytes(whole)
+
+    def test_runs_with_the_lexicon_directory_moved_away(self, corpus, lexicon_dir, tmp_path, capsys):
+        lexicon = shutil.copytree(lexicon_dir, tmp_path / "lexicon")
+        whole, staged = tmp_path / "whole", tmp_path / "staged"
+        assert run_pipeline(corpus, lexicon, whole) == 0
+        assert [run_command(stage, corpus, lexicon, staged) for stage in ("ingest", "dict")] == [0, 0]
+        lexicon.rename(tmp_path / "elsewhere")
+        codes = [run_command(stage, corpus, lexicon, staged) for stage in ("matrix", "efa", "report")]
+        assert codes == [0, 0, 0]
+        assert artifact_bytes(staged) == artifact_bytes(whole)
+        capsys.readouterr()
+        assert run_command("verify", corpus, lexicon, staged) == 0
+        assert capsys.readouterr().out == "verify: ok\n"
+
+    def test_dictionary_without_forms_is_stage_error(
+        self, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / "dictionary.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for record in payload["terms"]:
+            del record["forms"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run_command("matrix", corpus, lexicon_dir, out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and "forms" in err
+
+
 class TestCrashSafeWrites:
     """An encoder that fails mid-write leaves the previous artifact whole
     and no temporary file behind."""
@@ -479,6 +536,27 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "different configuration" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("stage", ["ingest", "dict", "matrix", "efa", "report"])
+    def test_refused_stage_writes_nothing(self, stage, corpus, lexicon_dir, finished_run, tmp_path, capsys):
+        """A stage command whose configuration differs from the manifest's
+        is refused before it runs: here a stopword list that stops the
+        fixture corpus's most frequent term, which would change
+        ``dictionary.json``."""
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        records = json.loads((out / "dictionary.json").read_text(encoding="utf-8"))["terms"]
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\nand\n" + "\n".join(records[0]["forms"]) + "\n", encoding="utf-8")
+        before = artifact_bytes(out)
+        capsys.readouterr()
+        code = main([stage, "--input", str(corpus), "--lexicon-dir", str(lexicon_dir),
+                     "--output-dir", str(out), "--factors", "fixed:2", "--stopwords", str(stopwords)])
+        assert code == 2
+        assert "different configuration" in capsys.readouterr().err
+        assert artifact_bytes(out) == before
+        assert main(["verify", "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == "verify: ok\n"
 
 
 class TestExitCodes:
@@ -621,15 +699,16 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("command", ["ingest", "dict", "report", "verify"])
-    def test_input_that_is_not_utf8_is_stage_error(
-        self, command, corpus, lexicon_dir, finished_run, tmp_path, capsys
-    ):
+    def test_input_that_is_not_utf8_is_stage_error(self, command, corpus, lexicon_dir, tmp_path, capsys):
         """One file per reader family gets a \\xff byte before its final
         newline: the corpus, a lexicon file, a matrix sidecar, a JSON
-        artifact. The one error line names that file."""
+        artifact. The one error line names that file. The run is made
+        with the copied inputs, so that the stage command has the
+        manifest's configuration and gets as far as reading the file."""
         corpus = shutil.copy(corpus, tmp_path)
         lexicon_dir = shutil.copytree(lexicon_dir, tmp_path / "lexicon")
-        out = shutil.copytree(finished_run, tmp_path / "out")
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out) == 0
         path = {
             "ingest": corpus,
             "dict": lexicon_dir / "index.noun",
@@ -644,16 +723,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
     def test_stopwords_and_verified_reviews_that_are_not_utf8_are_stage_errors(
-        self, lexicon_dir, finished_run, tmp_path, capsys
+        self, corpus, lexicon_dir, finished_run, tmp_path, capsys
     ):
         """The two other text readers: a custom stopword list, and the
-        review count that ``verify`` takes from ``reviews.jsonl``."""
+        review count that ``verify`` takes from ``reviews.jsonl``. The
+        ``dict`` command runs where ``ingest`` ran with the same
+        configuration, so that it gets as far as reading the list."""
         out = shutil.copytree(finished_run, tmp_path / "out")
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_bytes(b"the\n\xff\n")
+        args = ["--output-dir", str(tmp_path / "fresh"), "--input", str(corpus),
+                "--lexicon-dir", str(lexicon_dir), "--stopwords", str(stopwords)]
+        assert main(["ingest", *args]) == 0
         capsys.readouterr()
-        assert main(["dict", "--output-dir", str(out), "--lexicon-dir", str(lexicon_dir),
-                     "--stopwords", str(stopwords)]) == 2
+        assert main(["dict", *args]) == 2
         reviews = out / "reviews.jsonl"
         reviews.write_bytes(reviews.read_bytes() + b"\xff\n")
         assert main(["verify", "--output-dir", str(out)]) == 2

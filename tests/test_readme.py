@@ -1,10 +1,14 @@
-"""The README's library example runs as written.
+"""The README's library example and stage commands run as written.
 
-Only its two input paths are replaced: the review file by a small
-seeded corpus and the lexical database by the fixture lexicon.
+In the library example only its two input paths are replaced: the
+review file by a small seeded corpus and the lexical database by the
+fixture lexicon. The stage commands run unchanged in a directory that
+holds those two under the names the README gives them.
 """
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 from lexifactor.cli import main
@@ -36,3 +40,29 @@ def test_library_example_prints_the_pipeline_table(lexicon_dir, tmp_path, capsys
     table = (out / "report.md").read_text(encoding="utf-8").split("## Exemplar reviews")[0]
     assert printed.startswith(table)
     assert printed.count("\n| ") == 2 + 15  # header, rule and 15 factors
+
+
+def stage_example() -> tuple[str, list[str]]:
+    """The config file and the command lines of the stagewise example."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("Stages can run individually") :]
+    config, commands = re.search(r"```\n(.*?)```\n\n```sh\n(.*?)```", section, re.S).groups()
+    return config, commands.splitlines()
+
+
+def test_stage_commands_run_as_written(lexicon_dir, tmp_path, monkeypatch, capsys):
+    config, commands = stage_example()
+    build_review_corpus(tmp_path / "reviews.jsonl")
+    (tmp_path / "db").symlink_to(lexicon_dir)
+    (tmp_path / "labels.json").write_text(json.dumps({"1": "suites"}), encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    assert [shlex.split(line)[:2] for line in commands] == [
+        ["lexifactor", stage] for stage in ("ingest", "dict", "matrix", "efa", "report", "verify")
+    ]
+    for line in commands:
+        capsys.readouterr()
+        assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == "verify: ok\n"
+    assert "| suites |" in (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
