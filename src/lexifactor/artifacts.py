@@ -227,13 +227,20 @@ class TermDictionary:
                     pos=record["pos"],
                     doc_freq=record["doc_freq"],
                     sense_ids=tuple((pos, int(offset)) for pos, offset in record["sense_ids"]),
-                    forms=tuple(record["forms"]),
+                    forms=_strings(record["forms"]),
                 )
                 for record in records
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed dictionary payload: {exc}", path=str(path)) from exc
         return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, provenance=provenance)
+
+
+def _strings(value: Any) -> tuple[str, ...]:
+    """``value``, a list of strings, as a tuple; anything else is a TypeError."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 # ---------------------------------------------------------------------------

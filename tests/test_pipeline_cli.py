@@ -422,19 +422,30 @@ class TestLoneMatrixStage:
         assert run_command("verify", corpus, lexicon, staged) == 0
         assert capsys.readouterr().out == "verify: ok\n"
 
+    @pytest.mark.parametrize(
+        "forms, message",
+        [(None, "'forms'"), ("glass", "got 'glass'"), (["glass", 7], "got ['glass', 7]")],
+        ids=["missing", "string", "number"],
+    )
     def test_dictionary_without_forms_is_stage_error(
-        self, corpus, lexicon_dir, finished_run, tmp_path, capsys
+        self, forms, message, corpus, lexicon_dir, finished_run, tmp_path, capsys
     ):
+        """A record without a list of string forms, such as one from a
+        version that wrote none, ends the command in one line naming the
+        file."""
         out = shutil.copytree(finished_run, tmp_path / "out")
         path = out / "dictionary.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         for record in payload["terms"]:
             del record["forms"]
+            if forms is not None:
+                record["forms"] = forms
         path.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
         assert run_command("matrix", corpus, lexicon_dir, out) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and "forms" in err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: malformed dictionary payload: ")
+        assert message in err
 
 
 class TestCrashSafeWrites:
