@@ -9,6 +9,10 @@ the strongest factors with their words and exemplar reviews.
 
 __version__ = "0.1.0"
 
+# The pipeline's stages in run order, each also a command. They live here,
+# beside the version, so the command line names them without loading a layer.
+STAGES = ("ingest", "dict", "matrix", "efa", "report")
+
 from importlib import import_module
 
 # Each public name by the submodule that defines it. A name is imported on

@@ -18,11 +18,10 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from . import STAGES
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .errors import DependencyError, ParseError, named_decode_errors
-
-STAGES = ("ingest", "dict", "matrix", "efa", "report")
 
 STAGE_ARTIFACTS = {
     "ingest": ("reviews.jsonl",),
@@ -188,6 +187,11 @@ class TermDictionary:
     def __len__(self) -> int:
         return len(self.terms)
 
+    @property
+    def forms(self) -> list[tuple[str, ...]]:
+        """Each term's recorded surface forms, in column order."""
+        return [self.provenance[term].forms for term in self.terms]
+
     def json_lines(self) -> Iterator[str]:
         """``dictionary.json``, the payload :meth:`from_json_dict` reads, a
         line at a time: one line per term, each the record as
@@ -219,21 +223,44 @@ class TermDictionary:
     @classmethod
     def from_json_dict(cls, payload: dict, path: str | Path) -> "TermDictionary":
         """The dictionary that ``payload``, read from ``path``, holds."""
+        columns = TermColumns.from_json_dict(payload, path)
         try:
-            records = payload["terms"]
-            terms = tuple(record["term"] for record in records)
             provenance = {
-                record["term"]: TermProvenance(
+                term: TermProvenance(
                     pos=record["pos"],
                     doc_freq=record["doc_freq"],
                     sense_ids=tuple((pos, int(offset)) for pos, offset in record["sense_ids"]),
-                    forms=_strings(record["forms"]),
+                    forms=forms,
                 )
-                for record in records
+                for term, forms, record in zip(columns.terms, columns.forms, payload["terms"])
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed dictionary payload: {exc}", path=str(path)) from exc
-        return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, provenance=provenance)
+        return cls(terms=columns.terms, index=columns.index, provenance=provenance)
+
+
+@dataclass(frozen=True)
+class TermColumns:
+    """What the matrix stage takes of a dictionary: the terms in column
+    order, each term's column, and each term's recorded surface forms.
+    The forms are ``None`` where the dict stage's lexical pass is handed
+    along with the columns, so the matrix needs no lookup by form."""
+
+    terms: tuple[str, ...]
+    index: dict[str, int]
+    forms: tuple[tuple[str, ...], ...] | None = None
+
+    @classmethod
+    def from_json_dict(cls, payload: dict, path: str | Path) -> "TermColumns":
+        """The terms and forms that ``payload``, read from ``path``,
+        holds. No other field of a record is read or checked."""
+        try:
+            records = payload["terms"]
+            terms = tuple(record["term"] for record in records)
+            forms = tuple(_strings(record["forms"]) for record in records)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed dictionary payload: {exc}", path=str(path)) from exc
+        return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, forms=forms)
 
 
 def _strings(value: Any) -> tuple[str, ...]:

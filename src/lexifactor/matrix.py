@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import TermColumns
 from .errors import EmptyMatrixError, ValidationError
 from .ingest import Review, tokenize
 
@@ -79,10 +80,14 @@ class ColumnStats(NamedTuple):
 
 def build_matrix(
     reviews: Sequence[Review],
-    dictionary: TermDictionary,
+    dictionary: TermDictionary | TermColumns,
     lemmas: ReviewLemmas | Lexicon | None = None,
 ) -> DocTermMatrix:
     """Map each review onto the dictionary columns its lemmas name.
+
+    Only the dictionary's ``terms`` and ``index`` are read, and its
+    ``forms`` when no ``lemmas`` are given, so a :class:`TermColumns`
+    serves as well as the whole :class:`TermDictionary`.
 
     ``lemmas`` is the lexical pass over ``reviews`` that
     :func:`lexifactor.lexicon.build_dictionary` filled, so the matrix is
@@ -99,7 +104,7 @@ def build_matrix(
         lemmas = _term_lemmas(reviews, dictionary)
     elif isinstance(lemmas, Lexicon):
         lemmas = ReviewLemmas().read(reviews, lemmas)
-    n_docs, n_terms = len(reviews), len(dictionary)
+    n_docs, n_terms = len(reviews), len(dictionary.terms)
     if len(lemmas.indptr) != n_docs + 1:
         raise ValidationError(f"lemmas of {len(lemmas.indptr) - 1} reviews for {n_docs} reviews")
     # The column of each lemma id, -1 for a lemma that is no term.
@@ -120,14 +125,10 @@ def build_matrix(
     )
 
 
-def _term_lemmas(reviews: Sequence[Review], dictionary: TermDictionary) -> ReviewLemmas:
+def _term_lemmas(reviews: Sequence[Review], dictionary: TermDictionary | TermColumns) -> ReviewLemmas:
     """Each review's terms as lemma ids over the vocabulary of terms: the
     terms of which one of its tokens is a recorded surface form."""
-    column_of = {
-        form: column
-        for column, term in enumerate(dictionary.terms)
-        for form in dictionary.provenance[term].forms
-    }
+    column_of = {form: column for column, forms in enumerate(dictionary.forms) for form in forms}
     indptr = [0]
     ids: list[int] = []
     for review in reviews:

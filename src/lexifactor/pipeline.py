@@ -5,20 +5,24 @@ pipeline is the five stages run in order. A stage run on its own reads
 its inputs from there (or from the configured input files). Within one
 ``pipeline`` command the stages also hand each other their inputs in
 memory (see :class:`Handoff`): the ingested reviews, the term
-dictionary and the dict stage's per-review lemmas. The run then reads
-the corpus once and tokenizes it once. Besides the manifest it reads
-back two artifacts only: ``filtered.mtx`` in the efa and report stages
-and ``loading_table.json`` in the report stage. It writes the same
-bytes as the stages run one by one: a lone ``matrix`` stage reads
-``reviews.jsonl`` and ``dictionary.json`` only, and finds each review's
-terms among the surface forms that the dictionary records for each
-term, with neither the lexical database nor the stopword list. Every
-artifact is encoded once and written crash-safely. The manifest
-records, per stage, artifact checksums and basic counts plus the
-config snapshot; timestamps, thread counts, and directory locations
-stay out so that reruns yield byte-identical artifacts. The artifact
-formats, the manifest reader and ``verify`` live in
-:mod:`lexifactor.artifacts`.
+dictionary's terms and index, and the dict stage's per-review lemmas.
+The run then reads the corpus once and tokenizes it once. Besides the
+manifest it reads back two artifacts only: ``filtered.mtx`` in the efa
+and report stages and ``loading_table.json`` in the report stage. It
+writes the same bytes as the stages run one by one: a lone ``matrix``
+stage reads ``reviews.jsonl`` and ``dictionary.json`` only, and finds
+each review's terms among the surface forms that the dictionary records
+for each term, with neither the lexical database nor the stopword list.
+Every artifact is encoded once and written crash-safely. The manifest
+records, per stage, artifact checksums and basic counts plus the config
+snapshot; timestamps, thread counts, and directory locations stay out so
+that reruns yield byte-identical artifacts. The artifact formats, the
+manifest reader and ``verify`` live in :mod:`lexifactor.artifacts`.
+
+Each stage imports the layers it computes with when it starts, so a
+stage command loads no other: ``ingest`` runs without NumPy, and only
+``efa`` loads SciPy. A lone ``matrix`` stage reads each record's
+``term`` and ``forms`` from ``dictionary.json`` and no other field.
 """
 
 from __future__ import annotations
@@ -29,17 +33,16 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import __version__
 from .artifacts import (
     MANIFEST_NAME,
     STAGE_ARTIFACTS,
     STAGES,
-    TermDictionary,
+    TermColumns,
     _read_json,
     _read_manifest,
     _sha256,
@@ -49,34 +52,55 @@ from .artifacts import (
 )
 from .atomic import atomic_open
 from .config import PipelineConfig, parse_factor_spec
-from .efa import (
-    FactorModel,
-    VarimaxResult,
-    correlation_matrix,
-    eigendecompose,
-    extract_uls,
-    prune_loadings,
-    refine_factors,
-    select_factor_count,
-    varimax_rotate,
-)
 from .errors import DependencyError, StageError, ValidationError
-from .ingest import Review, load_reviews
-from .lexicon import (
-    ReviewLemmas,
-    build_dictionary,
-    load_stopwords,
-    parse_lexical_database,
-)
-from .matrix import build_matrix, column_stats, filter_low_variance
-from .mmio import read_matrix_market, write_matrix_market
-from .report import (
-    attach_labels,
-    build_report,
-    emit_report,
-    exemplar_reviews,
-    write_loadings_csv,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .efa import FactorModel, VarimaxResult
+    from .ingest import Review
+    from .lexicon import ReviewLemmas
+
+# The names the stages call, by the layer that defines them. No layer is
+# imported with this module: a stage binds its layers' names when it
+# starts (:func:`_bind`), so a command loads only the layers it runs.
+# A name already set here, such as a wrapper put in place before the
+# stage runs, is kept and called. Read as an attribute of this module,
+# each name imports its layer (PEP 562).
+_LAYER_NAMES = {
+    "ingest": ("load_reviews",),
+    "lexicon": ("ReviewLemmas", "build_dictionary", "load_stopwords", "parse_lexical_database"),
+    "matrix": ("build_matrix", "column_stats", "filter_low_variance"),
+    "mmio": ("read_matrix_market", "write_matrix_market"),
+    "efa": (
+        "correlation_matrix",
+        "eigendecompose",
+        "extract_uls",
+        "prune_loadings",
+        "refine_factors",
+        "select_factor_count",
+        "varimax_rotate",
+    ),
+    "report": ("attach_labels", "build_report", "emit_report", "exemplar_reviews", "write_loadings_csv"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def _bind(*layers: str) -> None:
+    """Import ``layers`` and bind their names here, except those already bound."""
+    namespace = globals()
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYER_OF[name])
+    return globals()[name]
+
 
 _LOG = logging.getLogger("lexifactor")
 
@@ -150,20 +174,22 @@ def model_payload(
 class Handoff:
     """What one run hands from stage to stage in memory, next to the artifacts.
 
-    ``reviews`` go from ingest to dict and matrix; ``dictionary`` and
-    ``lemmas``, the dict stage's lexical pass, go from dict to matrix.
-    The matrix stage clears them all, so none outlives the matrix
-    stage. They equal what a stage would read back from the artifacts,
-    and a stage with nothing handed to it reads those instead.
+    ``reviews`` go from ingest to dict and matrix; ``columns``, the
+    dictionary's terms and their index, and ``lemmas``, the dict stage's
+    lexical pass, go from dict to matrix. The matrix stage clears them
+    all, so none outlives the matrix stage. They equal what a stage
+    would read back from the artifacts, and a stage with nothing handed
+    to it reads those instead.
     """
 
     reviews: list[Review] | None = None
-    dictionary: TermDictionary | None = None
+    columns: TermColumns | None = None
     lemmas: ReviewLemmas | None = None
 
 
 def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
     """Load the input corpus, validate it, and normalize to JSON Lines."""
+    _bind("ingest")
     source = _require_input(config.input, "input")
     reviews = load_reviews(source, config.format)
     with atomic_open(config.out / "reviews.jsonl") as handle:
@@ -177,6 +203,7 @@ def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
 
 def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the term dictionary from the normalized reviews."""
+    _bind("ingest", "lexicon")
     reviews = handoff.reviews
     if reviews is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
@@ -186,19 +213,22 @@ def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     del lexicon  # released before encoding, to keep the run's peak memory down
     with atomic_open(config.out / "dictionary.json") as handle:
         handle.writelines(dictionary.json_lines())
-    handoff.reviews, handoff.dictionary, handoff.lemmas = reviews, dictionary, lemmas
+    # The provenance (senses and forms) is freed when this stage returns.
+    handoff.reviews, handoff.lemmas = reviews, lemmas
+    handoff.columns = TermColumns(terms=dictionary.terms, index=dictionary.index)
     return {"terms": len(dictionary)}
 
 
 def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
     """Build the document-term matrix and its low-variance filtered view."""
-    reviews, dictionary, lemmas = handoff.reviews, handoff.dictionary, handoff.lemmas
-    handoff.reviews = handoff.dictionary = handoff.lemmas = None  # freed when this stage ends
+    _bind("ingest", "matrix", "mmio")
+    reviews, columns, lemmas = handoff.reviews, handoff.columns, handoff.lemmas
+    handoff.reviews = handoff.columns = handoff.lemmas = None  # freed when this stage ends
     if lemmas is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
         dictionary_path = _require_artifact(config.out / "dictionary.json")
-        dictionary = TermDictionary.from_json_dict(_read_json(dictionary_path), dictionary_path)
-    matrix = build_matrix(reviews, dictionary, lemmas)
+        columns = TermColumns.from_json_dict(_read_json(dictionary_path), dictionary_path)
+    matrix = build_matrix(reviews, columns, lemmas)
     write_matrix_market(matrix, config.out / "matrix.mtx")
 
     stats = column_stats(matrix)
@@ -223,6 +253,7 @@ def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
 
 def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     """Correlate, extract, rotate, prune, and refine factor loadings."""
+    _bind("mmio", "efa", "report")
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
     corr = correlation_matrix(filtered)
     method, fixed_k = parse_factor_spec(config.factors)
@@ -257,6 +288,7 @@ def _solver_summary(model: FactorModel, rotation: VarimaxResult) -> str:
 
 def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:
     """Render the retained factors with exemplars and optional labels."""
+    _bind("mmio", "report")
     table_path = _require_artifact(config.out / "loading_table.json")
     table = table_from_payload(_read_json(table_path), table_path)
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))

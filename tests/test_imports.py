@@ -4,9 +4,13 @@
 load neither NumPy, SciPy nor ``lexifactor.pipeline``: the package's
 exports are imported on first access, and ``verify`` reads the output
 directory through the standard-library module ``lexifactor.artifacts``.
-Of the stage commands, only ``efa`` loads SciPy, for the phi
-correlation. Each check runs in a fresh interpreter, because this test
-process has imported all of them long before.
+``--version`` and argument errors load not even that module nor
+``lexifactor.config``. ``lexifactor.pipeline`` binds each stage's
+layers when the stage starts, so ``ingest`` loads no NumPy, and of the
+stage commands only ``efa`` loads SciPy, for the phi correlation. A lone
+``matrix`` takes each term's forms from ``dictionary.json`` and builds no
+``TermProvenance``. Each load check runs in a fresh interpreter, because
+this test process has imported all of them long before.
 """
 
 import os
@@ -17,20 +21,22 @@ from pathlib import Path
 import pytest
 
 import lexifactor
-from test_pipeline_cli import run_pipeline, write_corpus
+from lexifactor import artifacts as artifacts_module
+from lexifactor import lexicon as lexicon_module
+from test_pipeline_cli import artifact_bytes, run_command, run_pipeline, write_corpus
 
 _SRC = str(Path(lexifactor.__file__).resolve().parent.parent)
 
 _NUMERIC = ("numpy", "scipy", "lexifactor.pipeline")
 
-_RUN_CLI = f"""
+_RUN_CLI = """
 import sys
 from lexifactor.cli import main
 try:
     status = main(sys.argv[1:])
 except SystemExit as exc:
     status = exc.code
-print(status, ",".join(name for name in {_NUMERIC!r} if name in sys.modules) or "-")
+print(status, ",".join(name for name in {modules!r} if name in sys.modules) or "-")
 """
 
 _LAZY_EXPORTS = """
@@ -58,10 +64,10 @@ def _python(*args: str) -> str:
     return result.stdout.splitlines()[-1]
 
 
-def _cli(*args: str) -> tuple[str, set[str]]:
-    """The exit status of ``lexifactor ARGS`` and which of ``numpy``,
-    ``scipy`` and ``lexifactor.pipeline`` it loaded."""
-    status, loaded = _python("-c", _RUN_CLI, *args).split()
+def _cli(*args: str, modules: tuple[str, ...] = _NUMERIC) -> tuple[str, set[str]]:
+    """The exit status of ``lexifactor ARGS`` and which of ``modules``,
+    by default ``numpy``, ``scipy`` and ``lexifactor.pipeline``, it loaded."""
+    status, loaded = _python("-c", _RUN_CLI.format(modules=modules), *args).split()
     return status, set(loaded.split(",")) - {"-"}
 
 
@@ -116,3 +122,37 @@ def test_only_efa_loads_scipy(corpus, lexicon_dir, tmp_path):
         "efa": ("0", True),
         "report": ("0", False),
     }
+
+
+_BOOKKEEPING = ("lexifactor.artifacts", "lexifactor.config", "logging")
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [(("--version",), "0"), (("--help",), "0"), (("--no-such-flag",), "1"), (("efa", "--threads", "x"), "1")],
+)
+def test_version_help_and_argument_errors_load_no_bookkeeping(args, status):
+    assert _cli(*args, modules=_BOOKKEEPING) == (status, set())
+
+
+def test_ingest_loads_no_numpy(corpus, tmp_path):
+    status, loaded = _cli("ingest", "--input", str(corpus), "--output-dir", str(tmp_path))
+    assert (status, loaded) == ("0", {"lexifactor.pipeline"})
+
+
+def test_lone_matrix_builds_no_term_provenance(corpus, lexicon_dir, finished_dir, tmp_path, monkeypatch):
+    """A lone ``matrix`` reads only each record's ``term`` and ``forms``
+    from ``dictionary.json``, and the stage commands still write the
+    pipeline's bytes."""
+    staged = tmp_path / "staged"
+    assert [run_command(stage, corpus, lexicon_dir, staged) for stage in ("ingest", "dict")] == [0, 0]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the matrix stage built a TermProvenance")
+
+    for module in (artifacts_module, lexicon_module):
+        monkeypatch.setattr(module, "TermProvenance", unused)
+    assert run_command("matrix", corpus, lexicon_dir, staged) == 0
+    monkeypatch.undo()
+    assert [run_command(stage, corpus, lexicon_dir, staged) for stage in ("efa", "report")] == [0, 0]
+    assert artifact_bytes(staged) == artifact_bytes(finished_dir)

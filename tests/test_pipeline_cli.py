@@ -17,7 +17,6 @@ import pytest
 from helpers import from_dense, random_binary
 from lexifactor import (
     StageError,
-    TermDictionary,
     build_config,
     cmd_pipeline,
     cmd_stage,
@@ -31,6 +30,7 @@ from lexifactor import lexicon as lexicon_module
 from lexifactor import matrix as matrix_module
 from lexifactor import pipeline as pipeline_module
 from lexifactor import report as report_module
+from lexifactor.artifacts import TermColumns
 from lexifactor.cli import main
 from lexifactor.mmio import read_matrix_market, write_matrix_market
 
@@ -362,7 +362,7 @@ class TestWorkCounts:
             raise AssertionError("dictionary.json read back inside one run")
 
         monkeypatch.setattr(pipeline_module, "load_reviews", counted_load)
-        monkeypatch.setattr(TermDictionary, "from_json_dict", classmethod(no_reload))
+        monkeypatch.setattr(TermColumns, "from_json_dict", classmethod(no_reload))
         tokenized = count_tokenize_calls(monkeypatch)
         assert run_pipeline(corpus, lexicon_dir, tmp_path / "out") == 0
 

@@ -91,3 +91,42 @@ def test_traced_pipeline_reports_every_fact(lexicon_dir, tmp_path):
     assert payload["facts"]["efa.k"] == [8.0]
     spans = {span[0] for span in payload["spans"]}
     assert {"efa.eigendecompose", "efa.uls", "efa.varimax", "stage.efa"} <= spans
+
+
+# The layer spans each stage command must report, when run on its own.
+STAGE_SPANS = {
+    "ingest": {"ingest.load_reviews"},
+    "dict": {"ingest.load_reviews", "lexicon.parse", "lexicon.build_dictionary"},
+    "matrix": {"ingest.load_reviews", "matrix.build", "matrix.column_stats", "matrix.filter", "mmio.write"},
+    "efa": {
+        "mmio.read", "efa.correlation", "matrix.column_stats", "efa.eigendecompose", "efa.uls",
+        "efa.varimax", "efa.prune_refine", "report.loadings_csv",
+    },
+    "report": {"mmio.read", "report.exemplars", "report.emit"},
+}
+
+
+def test_traced_stage_commands_report_their_layers(lexicon_dir, tmp_path):
+    """Each stage command, traced on its own in one output directory,
+    misses no name and reports its stage span and its layers' spans: a
+    stage binds its layers' names when it starts, and the tracer's
+    wrappers, set before then, are the ones it calls."""
+    corpus = build_review_corpus(tmp_path / "reviews.jsonl", n_docs=200)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    for stage in STAGES:
+        trace = tmp_path / f"{stage}.json"
+        subprocess.run(
+            [
+                sys.executable, str(TRACED), str(trace),
+                stage,
+                "--input", str(corpus),
+                "--lexicon-dir", str(lexicon_dir),
+                "--output-dir", str(tmp_path / "out"),
+                "--factors", "fixed:8",
+            ],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        payload = json.loads(trace.read_text(encoding="utf-8"))
+        assert (payload["status"], payload["missing"]) == (0, [])
+        spans = {span[0] for span in payload["spans"]}
+        assert {"command.stage", f"stage.{stage}"} | STAGE_SPANS[stage] <= spans, stage
