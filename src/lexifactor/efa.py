@@ -9,28 +9,37 @@ strongest factors. No step changes a value an earlier step returned,
 and a step that borrows one restores it before it returns or raises.
 
 The spectrum, the starting communalities and the ULS eigenpairs all
-come from SciPy's LAPACK. SciPy links its own OpenBLAS, whose thread
-pool would otherwise take turns with NumPy's, and an idle pool's
+come from SciPy's LAPACK, through its compiled wrapper module
+``scipy.linalg._flapack`` loaded on its own (see :func:`_lapack`) and
+called with the arguments ``scipy.linalg`` passes. Importing
+``scipy.linalg`` or ``scipy.sparse`` would load SciPy's array-API layer
+too, a third of a second of a lone ``efa`` command; the co-occurrence
+counts behind phi need NumPy alone. SciPy links its own OpenBLAS, whose
+thread pool would otherwise take turns with NumPy's, and an idle pool's
 spinning workers slow the other on a small host.
 
 The stage's working memory is one p x p float64 array besides the
-interpreter, NumPy and SciPy: the correlation matrix, whose counts and
-phi values are made a block of rows at a time in that array. LAPACK's
-symmetric routines read one triangle of a matrix and overwrite only
-that triangle and the diagonal, so the spectrum, the SMC start and
+interpreter, NumPy and SciPy's LAPACK: the correlation matrix, whose
+counts and phi values are made a block of rows at a time in that array.
+LAPACK's symmetric routines read one triangle of a matrix and overwrite
+only that triangle and the diagonal, so the spectrum, the SMC start and
 every ULS pass run in the correlation matrix itself (see
 :func:`_lapack_view`): its other triangle keeps the values, which are
-copied back, with the saved diagonal, once LAPACK is done. Only the
-SMC start of a matrix that is not positive definite inverts a copy.
+copied back, with the saved diagonal, once LAPACK is done. Only the SMC
+start of a matrix that cannot be lent to LAPACK inverts a copy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from types import ModuleType
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,14 +83,18 @@ class VarimaxResult(NamedTuple):
     converged: bool
 
 
+# Entries of a p x p array, or (term, term) pairs, that one block holds.
+_BLOCK = 1 << 16
+
+
 def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     """Phi coefficients between all column pairs.
 
     For binary columns the phi coefficient is the Pearson correlation:
     (p11 - p_i p_j) / sqrt(p_i (1-p_i) p_j (1-p_j)). Co-occurrence
-    counts come from a sparse product, so the result is exactly
-    symmetric; values are clipped to [-1, 1] and the diagonal is exactly
-    1. Constant columns have no correlation and are an error.
+    counts are exact integers, so the result is exactly symmetric;
+    values are clipped to [-1, 1] and the diagonal is exactly 1.
+    Constant columns have no correlation and are an error.
     """
     stats = column_stats(matrix)
     rates, variances = stats.p, stats.variance
@@ -90,21 +103,12 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
         names = ", ".join(matrix.terms[i] for i in constant[:5])
         raise DegenerateColumnError(f"constant columns have no correlation: {names}")
 
-    # SciPy is imported here, not at module level, so that the commands
-    # that never correlate do not pay for loading it.
-    from scipy import sparse
-
-    incidence = sparse.csr_matrix(
-        (np.ones(matrix.nnz(), dtype=np.float64), matrix.indices, matrix.indptr),
-        shape=(matrix.n_docs, matrix.n_terms),
-    )
-    by_term = incidence.T.tocsr()
-    # The counts, exact in float64, are made a block of rows at a time
-    # straight into the one p x p array and turned into phi there, so
-    # neither the whole sparse product nor a second p x p array exists.
+    # The counts are made a block of rows at a time straight into the one
+    # p x p array and turned into phi there, so no second p x p array exists.
     values = np.empty((matrix.n_terms, matrix.n_terms))
-    for rows in _row_blocks(matrix.n_terms):
-        block = (by_term[rows] @ incidence).toarray(out=values[rows])
+    for rows, counts in _cooccurrence_blocks(matrix):
+        block = values[rows]
+        block[...] = counts
         block /= matrix.n_docs
         block -= np.outer(rates[rows], rates)
         block /= np.sqrt(np.outer(variances[rows], variances))
@@ -113,24 +117,108 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(values=values, terms=matrix.terms)
 
 
+def _cooccurrence_blocks(matrix: DocTermMatrix) -> Iterator[tuple[slice, np.ndarray]]:
+    """Rows of the p x p counts of documents that hold both terms, a
+    block of rows at a time, as int64 arrays.
+
+    Each (term, document) entry of the block's terms expands to that
+    document's terms, one (term, term) pair each, and ``np.bincount``
+    counts the pairs. A block has at most :func:`_row_blocks`' rows and
+    expands to at most about 65,536 pairs, unless one term alone
+    expands to more.
+    """
+    p = matrix.n_terms
+    # The documents of each term, term by term, and the pairs they expand to.
+    docs = matrix.row_of_entry()[np.argsort(matrix.indices, kind="stable")]
+    doc_freq = np.bincount(matrix.indices, minlength=p)
+    pairs = np.diff(matrix.indptr)[docs]
+    term_start = np.zeros(p + 1, dtype=np.intp)
+    np.cumsum(doc_freq, out=term_start[1:])
+    pair_start = np.zeros(len(docs) + 1, dtype=np.intp)
+    np.cumsum(pairs, out=pair_start[1:])
+    term_pair_start = pair_start[term_start]
+
+    max_rows = max(1, _BLOCK // max(p, 1))
+    start = 0
+    while start < p:
+        fits = int(np.searchsorted(term_pair_start, term_pair_start[start] + _BLOCK, side="right")) - 1
+        stop = min(start + max_rows, max(start + 1, fits))
+        first, last = term_start[start], term_start[stop]
+        expand = pairs[first:last]
+        # The position in ``indices`` of each pair's second term ...
+        local_start = pair_start[first:last] - pair_start[first]
+        position = np.repeat(matrix.indptr[docs[first:last]] - local_start, expand)
+        position += np.arange(pair_start[last] - pair_start[first])
+        # ... plus its row's offset makes its index in the block's counts.
+        index = np.repeat(np.repeat(np.arange(0, (stop - start) * p, p), doc_freq[start:stop]), expand)
+        index += matrix.indices[position]
+        yield slice(start, stop), np.bincount(index, minlength=(stop - start) * p).reshape(stop - start, p)
+        start = stop
+
+
 def eigendecompose(corr: CorrelationMatrix) -> np.ndarray:
     """The eigenvalues of the correlation matrix, descending; choosing
     the factor count needs no eigenvectors. LAPACK works in the
     matrix's own memory, which must hold a writable C-ordered float64
     array, finite and exactly symmetric, and puts it back."""
-    from scipy.linalg import eigvalsh
-
     _require_borrowable(corr.values)
-    # Driver "ev" takes the steps of NumPy's eigvalsh (a tridiagonal
-    # reduction, then dsterf), so both compute the same spectrum.
+    lapack = _lapack()
+    (lwork,) = _work_sizes("dsyev", lapack.dsyev_lwork(len(corr.values), lower=1))
+    # The call scipy.linalg.eigvalsh(driver="ev") makes. It takes the
+    # steps of NumPy's eigvalsh (a tridiagonal reduction, then dsterf),
+    # so both compute the same spectrum.
     with _lapack_view(corr.values, lower=True) as a:
-        eigenvalues = eigvalsh(a, driver="ev", overwrite_a=True, check_finite=False)
+        eigenvalues, _, info = lapack.dsyev(a, compute_v=0, lower=1, lwork=lwork, overwrite_a=1)
+    _check_info("dsyev", info)
     return np.sort(eigenvalues)[::-1]
+
+
+def _lapack() -> ModuleType:
+    """SciPy's compiled LAPACK wrapper, ``scipy.linalg._flapack``, whose
+    functions ``scipy.linalg.lapack`` exports.
+
+    Unless it is loaded already, it is loaded from SciPy's ``linalg``
+    directory without importing ``scipy`` or ``scipy.linalg``, and
+    registered under its name, so a later ``import scipy.linalg`` takes
+    this module and its functions.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        scipy_dir = scipy.submodule_search_locations[0]
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_dir, "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"SciPy at {scipy_dir} has no {name} extension module")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
+def _work_sizes(routine: str, query: tuple) -> list[int]:
+    """The work array sizes a LAPACK ``*_lwork`` query returns, made
+    integers as ``scipy.linalg.lapack._compute_lwork`` makes them."""
+    *sizes, info = query
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} work size query failed: info {info}")
+    return [int(size) for size in sizes]
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed: info {info}")
 
 
 def _row_blocks(p: int) -> Iterator[slice]:
     """Slices of about 65,536 entries' worth of rows of a p x p array."""
-    step = max(1, (1 << 16) // max(p, 1))
+    step = max(1, _BLOCK // max(p, 1))
     return (slice(start, min(start + step, p)) for start in range(0, p, step))
 
 
@@ -219,52 +307,59 @@ def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int 
 
 
 def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
-    """Squared multiple correlations, or max |row correlation| as fallback.
-
-    An exactly symmetric positive definite matrix is inverted in its own
-    memory and put back (:func:`_cholesky_inverse_diagonal`); any other
-    goes to ``scipy.linalg.inv``, which inverts a copy.
-    """
-    from scipy.linalg import LinAlgWarning, inv
-
-    inverse_diag = _cholesky_inverse_diagonal(corr_values)
-    try:
-        if inverse_diag is None:
-            with warnings.catch_warnings():
-                # A nearly singular matrix still has an inverse, and its
-                # out-of-range SMCs are clipped below: nothing to warn about.
-                warnings.simplefilter("ignore", LinAlgWarning)
-                # Never with overwrite_a: SciPy 1.17.1 crashes on that
-                # call with a large indefinite Fortran-ordered matrix.
-                inverse_diag = np.diag(inv(corr_values))
-        smc = 1.0 - 1.0 / inverse_diag
-    except np.linalg.LinAlgError:
-        off = np.abs(corr_values)
-        np.fill_diagonal(off, 0.0)
-        smc = off.max(axis=1)
+    """Squared multiple correlations, 1 - 1/diag(C^-1), or each row's
+    largest |correlation| off the diagonal when C is singular; clipped
+    to [0, 1]. No step copies C whole when it can be lent to LAPACK."""
+    inverse_diag = _inverse_diagonal(corr_values)
+    smc = _row_maximum(corr_values) if inverse_diag is None else 1.0 - 1.0 / inverse_diag
     smc = np.nan_to_num(smc, nan=0.0, posinf=1.0, neginf=0.0)
     return np.clip(smc, 0.0, 1.0)
 
 
-def _cholesky_inverse_diagonal(corr_values: np.ndarray) -> np.ndarray | None:
-    """The diagonal of the inverse of an exactly symmetric positive
-    definite matrix, or None for any other matrix.
+def _inverse_diagonal(corr_values: np.ndarray) -> np.ndarray | None:
+    """The diagonal of the inverse of ``corr_values``, or None if LAPACK
+    finds the matrix singular.
 
-    ``potrf`` and ``potri`` on the upper triangle of the matrix, in its
-    own memory (see :func:`_lapack_view`): the steps SciPy's ``inv``
-    takes for such a matrix. ``clean=0`` keeps ``potrf`` from zeroing the
-    other triangle, which holds the matrix while LAPACK works.
+    A matrix that :func:`_lapack_view` can lend is inverted from the
+    view's upper triangle in its own memory and put back: by ``dpotrf``
+    and ``dpotri`` if it is positive definite, the steps SciPy's ``inv``
+    takes for such a matrix, and else by the symmetric indefinite
+    ``dsytrf`` and ``dsytri``. ``clean=0`` keeps ``dpotrf`` from zeroing
+    the other triangle, which holds the matrix while LAPACK works. Any
+    other matrix is inverted by ``dgetrf`` and ``dgetri`` in one
+    Fortran-ordered copy.
     """
-    from scipy.linalg.lapack import dpotrf, dpotri
+    lapack = _lapack()
+    p = len(corr_values)
+    if not _unborrowable(corr_values):
+        with _lapack_view(corr_values, lower=False) as a:
+            factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
+            if info == 0:
+                inverse, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
+            if info == 0:
+                return np.diag(inverse).copy()
+        (lwork,) = _work_sizes("dsytrf", lapack.dsytrf_lwork(p, lower=0))
+        with _lapack_view(corr_values, lower=False) as a:
+            factor, pivots, info = lapack.dsytrf(a, lower=0, lwork=lwork, overwrite_a=1)
+            if info == 0:
+                inverse, info = lapack.dsytri(factor, pivots, lower=0, overwrite_a=1)
+            return np.diag(inverse).copy() if info == 0 else None
+    lu, pivots, info = lapack.dgetrf(np.array(corr_values, dtype=np.float64, order="F"), overwrite_a=1)
+    if info == 0:
+        (lwork,) = _work_sizes("dgetri", lapack.dgetri_lwork(p))
+        inverse, info = lapack.dgetri(lu, pivots, lwork=lwork, overwrite_lu=1)
+    return np.diag(inverse).copy() if info == 0 else None
 
-    if _unborrowable(corr_values):
-        return None
-    with _lapack_view(corr_values, lower=False) as a:
-        factor, info = dpotrf(a, lower=0, clean=0, overwrite_a=1)
-        if info != 0:
-            return None
-        inverse, info = dpotri(factor, lower=0, overwrite_c=1)
-        return np.diag(inverse).copy() if info == 0 else None
+
+def _row_maximum(values: np.ndarray) -> np.ndarray:
+    """Each row's largest |entry| off the diagonal, a block of rows at a
+    time, so no p x p copy is made."""
+    maxima = np.empty(len(values))
+    for rows in _row_blocks(len(values)):
+        block = np.abs(values[rows])
+        block[np.arange(len(block)), np.arange(rows.start, rows.stop)] = 0.0
+        maxima[rows] = block.max(axis=1)
+    return maxima
 
 
 def extract_uls(
@@ -277,16 +372,15 @@ def extract_uls(
 
     Each pass computes only the ``k`` largest eigenpairs of the
     correlation matrix with current communality estimates on the
-    diagonal (LAPACK's ``syevr`` through ``scipy.linalg.eigh`` with
-    ``subset_by_index``), rebuilds loadings from them (negative
-    eigenvalues clipped to zero), and updates the communalities from
-    the loading row sums of squares until the largest change drops
-    below ``tol``. Communalities are clamped at 1; hitting the clamp
-    sets the ``heywood`` flag. Each factor is signed so that its
-    largest-magnitude loading is positive. Each pass works in the
-    correlation matrix's own memory and puts it back, so the matrix
-    must be a writable C-ordered float64 array, finite and exactly
-    symmetric.
+    diagonal (LAPACK's ``dsyevr``, see :func:`_top_eigenpairs`),
+    rebuilds loadings from them (negative eigenvalues clipped to zero),
+    and updates the communalities from the loading row sums of squares
+    until the largest change drops below ``tol``. Communalities are
+    clamped at 1; hitting the clamp sets the ``heywood`` flag. Each
+    factor is signed so that its largest-magnitude loading is positive.
+    Each pass works in the correlation matrix's own memory and puts it
+    back, so the matrix must be a writable C-ordered float64 array,
+    finite and exactly symmetric.
     """
     C = corr.values
     _require_borrowable(C)
@@ -296,9 +390,8 @@ def extract_uls(
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be positive and max_iter at least 1")
 
-    from scipy.linalg import eigh
-
     h2 = _initial_communalities(C)
+    top_eigenpairs = _top_eigenpairs(p, k)
     loadings = np.zeros((p, k))
     heywood = False
     converged = False
@@ -307,9 +400,7 @@ def extract_uls(
         with _lapack_view(C, lower=True) as reduced:
             np.fill_diagonal(reduced, h2)
             # The k largest eigenpairs, in ascending order; reversed below.
-            eigenvalues, eigenvectors = eigh(
-                reduced, subset_by_index=[p - k, p - 1], overwrite_a=True, check_finite=False
-            )
+            eigenvalues, eigenvectors = top_eigenpairs(reduced)
         scale = np.sqrt(np.clip(eigenvalues[::-1], 0.0, None))
         loadings = eigenvectors[:, ::-1] * scale
         new_h2 = np.sum(loadings * loadings, axis=1)
@@ -331,6 +422,27 @@ def extract_uls(
         n_iter=iterations,
         heywood=heywood,
     )
+
+
+def _top_eigenpairs(p: int, k: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """A solver for the ``k`` largest eigenpairs, in ascending order, of
+    a p x p symmetric Fortran-ordered matrix, from its lower triangle,
+    which the solver overwrites: LAPACK's ``dsyevr`` called as
+    ``scipy.linalg.eigh(a, subset_by_index=[p - k, p - 1],
+    overwrite_a=True)`` calls it, with the work sizes asked once."""
+    lapack = _lapack()
+    lwork, liwork = _work_sizes("dsyevr", lapack.dsyevr_lwork(p, lower=1))
+
+    def solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w, v, m, _, info = lapack.dsyevr(
+            a, compute_v=1, range="I", il=p - k + 1, iu=p, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
+        )
+        _check_info("dsyevr", info)
+        return w[:m], v[:, :m]
+
+    return solve
+
+
 
 
 def _anchor_signs(L: np.ndarray) -> np.ndarray:
@@ -373,6 +485,10 @@ def varimax_rotate(
     rotation has ``converged`` when a sweep gains less than ``tol``
     (an undone sweep gained less than nothing), and has not when it
     stops at ``max_sweeps``; one factor needs no sweep and converges.
+    The loadings are copied to Fortran order, the layout
+    :func:`extract_uls` returns, so the row norms and the products with
+    the rotation, whose sums follow the layout, give the same bits for
+    either layout of the same values.
 
     Each sweep visits the pairs in row-cyclic order (0, 1), (0, 2), ...,
     (k-2, k-1), one level of :func:`_pair_levels` at a time. A level
@@ -388,7 +504,7 @@ def varimax_rotate(
     from the matmul, and sums down a column of a p x k array, or along
     a transposed view, add in another order.
     """
-    L0 = np.array(loadings, dtype=np.float64)
+    L0 = np.array(loadings, dtype=np.float64, order="F")
     if L0.ndim != 2:
         raise ValidationError(f"loadings must be 2-d, got shape {L0.shape}")
     p, k = L0.shape

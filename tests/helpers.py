@@ -400,9 +400,9 @@ def reference_varimax_rotate(
 
     The sequential loop that the package's level-batched sweeps must
     reproduce bit for bit: same sweeps, criterion history, loadings and
-    rotation.
+    rotation. Like the package, it works on a Fortran-ordered copy.
     """
-    L0 = np.array(loadings, dtype=np.float64)
+    L0 = np.array(loadings, dtype=np.float64, order="F")
     p, k = L0.shape
     norms = np.sqrt(np.sum(L0 * L0, axis=1))
     norms[norms == 0.0] = 1.0
@@ -410,6 +410,9 @@ def reference_varimax_rotate(
 
     T = np.eye(k)
     history = [varimax_criterion(W)]
+    # The sweeps work in C order, whose column sums add row by row as the
+    # package's criterion of a sweep does.
+    W = np.ascontiguousarray(W)
     sweeps = 0
     for _ in range(max_sweeps if k > 1 else 0):
         W_before, T_before = W.copy(), T.copy()

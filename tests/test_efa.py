@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -35,7 +36,17 @@ from lexifactor import (
     varimax_criterion,
     varimax_rotate,
 )
-from lexifactor.efa import _anchor_signs, _initial_communalities, _pair_levels, uls_objective
+from lexifactor.efa import (
+    _anchor_signs,
+    _initial_communalities,
+    _lapack,
+    _pair_levels,
+    _top_eigenpairs,
+    uls_objective,
+)
+
+# SciPy's compiled LAPACK wrapper, through which the efa stage calls LAPACK.
+FLAPACK = _lapack()
 
 
 def corr_from(values) -> CorrelationMatrix:
@@ -121,6 +132,35 @@ class TestEigendecompose:
             ours = eigendecompose(corr)
             np.testing.assert_allclose(ours, reference, atol=1e-10)
             assert select_factor_count(ours) == select_factor_count(reference)
+
+
+def random_symmetric(p: int, seed: int) -> np.ndarray:
+    A = np.random.default_rng(seed).normal(size=(p, p))
+    return A + A.T
+
+
+class TestLapackMatchesPublicScipy:
+    """The wrapper module's functions, called as the package calls them,
+    give the bits of SciPy's public eigensolvers."""
+
+    def test_same_module_and_functions_as_scipy_linalg_lapack(self):
+        assert FLAPACK is sys.modules["scipy.linalg._flapack"]
+        for name in ("dsyev", "dsyevr", "dpotrf", "dpotri", "dsytrf", "dgetrf", "dgetri"):
+            assert getattr(FLAPACK, name) is getattr(scipy.linalg.lapack, name)
+
+    @pytest.mark.parametrize("p", [1, 2, 9, 60, 257])
+    def test_spectrum_equals_eigvalsh(self, p):
+        C = random_symmetric(p, p)
+        expected = np.sort(eigvalsh(C, driver="ev"))[::-1]
+        assert eigendecompose(corr_from(C)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p, k", [(1, 1), (2, 1), (9, 9), (60, 1), (60, 7), (257, 40)])
+    def test_top_eigenpairs_equal_eigh_subset(self, p, k):
+        C = random_symmetric(p, p + k)
+        w, v = scipy.linalg.eigh(C, subset_by_index=[p - k, p - 1])
+        ours_w, ours_v = _top_eigenpairs(p, k)(np.array(C, order="F"))
+        assert ours_w.tobytes() == w.tobytes()
+        assert ours_v.tobytes() == v.tobytes()
 
 
 class TestSelectFactorCount:
@@ -350,10 +390,10 @@ def nearly_singular_corr() -> np.ndarray:
     return unit_diagonal((S + S.T) / 2)
 
 
-def indefinite_corr() -> np.ndarray:
+def indefinite_corr(p: int = 12) -> np.ndarray:
     rng = np.random.default_rng(13)
-    A = rng.uniform(-0.9, 0.9, size=(12, 12))
-    C = np.triu(A, 1) + np.triu(A, 1).T + np.eye(12)
+    A = rng.uniform(-0.9, 0.9, size=(p, p))
+    C = np.triu(A, 1) + np.triu(A, 1).T + np.eye(p)
     assert np.linalg.eigvalsh(C)[0] < 0
     return C
 
@@ -374,7 +414,9 @@ SMC_CASES = {
 
 class TestInitialCommunalities:
     """The SMC start: 1 - 1/diag(C^-1), from an in-place Cholesky inverse
-    when C is exactly symmetric positive definite, else from ``inv``."""
+    when C is exactly symmetric positive definite, else from a symmetric
+    indefinite factorization in place or, for a C that cannot be lent to
+    LAPACK, an LU factorization of a copy."""
 
     @pytest.mark.parametrize("case", SMC_CASES)
     def test_equals_inverse_diagonal(self, case):
@@ -388,19 +430,21 @@ class TestInitialCommunalities:
         [("positive-definite", 0), ("nearly-singular", 0), ("indefinite", 1), ("non-symmetric", 1)],
     )
     def test_inv_only_without_cholesky(self, case, inv_calls, monkeypatch):
+        C = SMC_CASES[case]()
         calls = []
-        inv = scipy.linalg.inv
+        for name in ("dsytrf", "dgetrf"):
 
-        def counted_inv(*args, **kwargs):
-            calls.append((args, kwargs))
-            return inv(*args, **kwargs)
+            def counted(a, *args, _name=name, _factorize=getattr(FLAPACK, name), **kwargs):
+                calls.append((_name, np.shares_memory(a, C)))
+                return _factorize(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "inv", counted_inv)
-        _initial_communalities(SMC_CASES[case]())
+            monkeypatch.setattr(FLAPACK, name, counted)
+        _initial_communalities(C)
         assert len(calls) == inv_calls
-        # SciPy 1.17.1 segfaults on inv(A, overwrite_a=True) for a large
-        # indefinite Fortran-ordered A: the fallback must invert a copy.
-        assert all(len(args) == 1 and not kwargs.get("overwrite_a") for args, kwargs in calls)
+        # The exactly symmetric C is factorized in its own memory, any
+        # other in a copy.
+        in_place = case != "non-symmetric"
+        assert all(call == (("dsytrf", True) if in_place else ("dgetrf", False)) for call in calls)
 
     def test_singular_falls_back_to_row_maximum(self):
         # rows 0 and 1 are equal: Cholesky and LU both meet an exact zero pivot
@@ -408,6 +452,8 @@ class TestInitialCommunalities:
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.inv(C)
         assert _initial_communalities(C).tolist() == [1.0, 1.0, 0.5]
+        # a Fortran-ordered copy cannot be lent to LAPACK: LU meets the zero pivot
+        assert _initial_communalities(np.asfortranarray(C)).tolist() == [1.0, 1.0, 0.5]
 
 
 def traced_peak(fn, *args) -> int:
@@ -430,10 +476,12 @@ def read_only(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def assert_no_second_matrix(p: int, solver) -> None:
+def assert_no_second_matrix(p: int, solver, corr: CorrelationMatrix | None = None) -> None:
     """``solver(corr)`` allocates less than half a p x p float64 array
-    and leaves ``corr.values`` bitwise as it found it."""
-    corr = factor_model_corr(np.random.default_rng(p), p, 10)
+    and leaves ``corr.values`` bitwise as it found it. ``corr`` defaults
+    to a positive definite factor model."""
+    if corr is None:
+        corr = factor_model_corr(np.random.default_rng(p), p, 10)
     before = corr.values.tobytes()
     assert traced_peak(solver, corr) <= 0.5 * p * p * 8
     assert corr.values.tobytes() == before
@@ -462,17 +510,25 @@ class TestWorkingMemory:
     def test_initial_communalities(self, p):
         assert_no_second_matrix(p, lambda corr: _initial_communalities(corr.values))
 
+    @pytest.mark.parametrize("p", [600, 800])
+    def test_initial_communalities_of_indefinite_matrix(self, p):
+        assert_no_second_matrix(p, lambda corr: _initial_communalities(corr.values), corr_from(indefinite_corr(p)))
+
     @pytest.mark.parametrize(
-        "module, name, solver",
+        "module, name, solver, matrix",
         [
-            (scipy.linalg, "eigh", lambda corr: extract_uls(corr, 3)),
-            (scipy.linalg, "eigvalsh", eigendecompose),
-            (scipy.linalg.lapack, "dpotrf", lambda corr: _initial_communalities(corr.values)),
-            (scipy.linalg.lapack, "dpotri", lambda corr: _initial_communalities(corr.values)),
+            (FLAPACK, "dsyevr", lambda corr: extract_uls(corr, 3), "factor-model"),
+            (FLAPACK, "dsyev", eigendecompose, "factor-model"),
+            (FLAPACK, "dpotrf", lambda corr: _initial_communalities(corr.values), "factor-model"),
+            (FLAPACK, "dpotri", lambda corr: _initial_communalities(corr.values), "factor-model"),
+            (FLAPACK, "dsytrf", lambda corr: _initial_communalities(corr.values), "indefinite"),
         ],
     )
-    def test_lapack_works_in_the_matrix_and_it_is_put_back_on_error(self, module, name, solver, monkeypatch):
-        corr = factor_model_corr(np.random.default_rng(5), 70, 3)
+    def test_lapack_works_in_the_matrix_and_it_is_put_back_on_error(self, module, name, solver, matrix, monkeypatch):
+        if matrix == "indefinite":
+            corr = corr_from(indefinite_corr(70))
+        else:
+            corr = factor_model_corr(np.random.default_rng(5), 70, 3)
         before = corr.values.tobytes()
         lapack_call = getattr(module, name)
         seen = []
@@ -645,6 +701,16 @@ class TestVarimax:
         ) <= 1e-10
         assert np.all(np.diff(np.array(result.criterion_history)) >= 0.0)
 
+    def test_memory_layout_does_not_change_the_bits(self):
+        # Row norms and the products with the rotation sum in the order of
+        # the layout; the rotation works on a Fortran-ordered copy of either.
+        loadings = np.random.default_rng(47).normal(size=(300, 12)) * 0.3
+        in_c = varimax_rotate(np.ascontiguousarray(loadings), max_sweeps=5)
+        in_fortran = varimax_rotate(np.asfortranarray(loadings), max_sweeps=5)
+        assert in_c.criterion_history == in_fortran.criterion_history
+        assert in_c.rotation.tobytes() == in_fortran.rotation.tobytes()
+        assert in_c.loadings.tobytes() == in_fortran.loadings.tobytes()
+
     def test_validations(self):
         with pytest.raises(ValidationError):
             varimax_rotate(np.zeros((0, 2)))
@@ -711,7 +777,7 @@ class TestVarimaxMatchesSequentialReference:
             varimax_rotate(loadings, max_sweeps=3), reference_varimax_rotate(loadings, max_sweeps=3)
         )
 
-    @pytest.mark.parametrize("k, seed", [(10, 1), (12, 5)])
+    @pytest.mark.parametrize("k, seed", [(10, 9), (12, 5)])
     def test_undone_sweep(self, k, seed):
         # Two rows and many factors: the fourth sweep lowers the criterion
         # and is undone while the gain is still far above tol.

@@ -7,10 +7,15 @@ directory through the standard-library module ``lexifactor.artifacts``.
 ``--version`` and argument errors load not even that module nor
 ``lexifactor.config``. ``lexifactor.pipeline`` binds each stage's
 layers when the stage starts, so ``ingest`` loads no NumPy, and of the
-stage commands only ``efa`` loads SciPy, for the phi correlation. A lone
+stage commands only ``efa`` loads SciPy, for LAPACK. A lone
 ``matrix`` takes each term's forms from ``dictionary.json`` and builds no
 ``TermProvenance``. Each load check runs in a fresh interpreter, because
 this test process has imported all of them long before.
+
+Of SciPy, ``efa`` loads only its compiled LAPACK wrapper,
+``scipy.linalg._flapack``: neither the ``scipy`` package,
+``scipy.linalg``, ``scipy.sparse`` nor the ``numpy.f2py`` that SciPy's
+array-API layer would load with them.
 """
 
 import os
@@ -114,14 +119,32 @@ def test_only_efa_loads_scipy(corpus, lexicon_dir, tmp_path):
         "--output-dir", str(tmp_path),
         "--factors", "fixed:2",
     ]
-    loaded = {stage: _cli(stage, *config) for stage in ("ingest", "dict", "matrix", "efa", "report")}
-    assert {stage: (status, "scipy" in modules) for stage, (status, modules) in loaded.items()} == {
-        "ingest": ("0", False),
-        "dict": ("0", False),
-        "matrix": ("0", False),
-        "efa": ("0", True),
-        "report": ("0", False),
+    # Any other SciPy module is loaded through the scipy package.
+    scipy_modules = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.linalg._flapack", "numpy.f2py")
+    loaded = {stage: _cli(stage, *config, modules=scipy_modules) for stage in ("ingest", "dict", "matrix", "efa", "report")}
+    assert loaded == {
+        "ingest": ("0", set()),
+        "dict": ("0", set()),
+        "matrix": ("0", set()),
+        "efa": ("0", {"scipy.linalg._flapack"}),
+        "report": ("0", set()),
     }
+
+
+_LAPACK_FIRST = """
+import sys
+from lexifactor.efa import _lapack
+flapack = _lapack()
+alone = sorted(name for name in sys.modules if name.startswith("scipy"))
+import scipy.linalg.lapack
+print(alone, scipy.linalg.lapack.dsyevr is flapack.dsyevr, scipy.linalg.lapack._flapack is flapack)
+"""
+
+
+def test_scipy_imported_after_the_lapack_loader_shares_its_module():
+    """The efa stage's loader registers SciPy's LAPACK wrapper module, so
+    a later ``import scipy.linalg`` exports the same functions."""
+    assert _python("-c", _LAPACK_FIRST) == "['scipy.linalg._flapack'] True True"
 
 
 _BOOKKEEPING = ("lexifactor.artifacts", "lexifactor.config", "logging")
