@@ -42,13 +42,10 @@ _EXPORTS = {
         "varimax_rotate",
     ),
     "errors": (
-        "ConfigurationError",
         "DegenerateColumnError",
-        "DependencyError",
         "DuplicateIdError",
         "EmptyDictionaryError",
         "EmptyMatrixError",
-        "LexifactorError",
         "ParseError",
         "SchemaError",
         "StageError",

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Iterator
 from . import STAGES
 from .atomic import atomic_open
 from .config import PipelineConfig
-from .errors import DependencyError, ParseError, named_decode_errors
+from .errors import ParseError, StageError, named_decode_errors
 
 STAGE_ARTIFACTS = {
     "ingest": ("reviews.jsonl",),
@@ -330,7 +330,7 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     """
     manifest_path = config.out / MANIFEST_NAME
     if not manifest_path.is_file():
-        raise DependencyError(str(manifest_path))
+        raise StageError(f"missing required artifact: {manifest_path}")
     stages = _read_manifest(manifest_path)["stages"]
     problems: list[str] = []
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 
 _FORMATS = ("jsonl", "csv")
 
@@ -88,7 +88,7 @@ def _coerce(key: str, value: str) -> Any:
     try:
         return value if parse is None else parse(value)
     except ValueError:
-        raise ConfigurationError(f"config key {key!r}: cannot parse {value!r}") from None
+        raise ValidationError(f"config key {key!r}: cannot parse {value!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
@@ -97,20 +97,20 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
+        raise ValidationError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
-        raise ConfigurationError(f"config file is not UTF-8 text: {path}") from None
+        raise ValidationError(f"config file is not UTF-8 text: {path}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected KEY = VALUE, got {line!r}")
+            raise ValidationError(f"{path}:{lineno}: expected KEY = VALUE, got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _FIELD_TYPES:
-            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
-            raise ConfigurationError(f"{path}:{lineno}: duplicate config key {key!r}")
+            raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
         values[key] = _coerce(key, value)
     return values
 
@@ -128,7 +128,7 @@ def build_config(
             if value is None:
                 continue
             if key not in _FIELD_TYPES:
-                raise ConfigurationError(f"unknown config key {key!r}")
+                raise ValidationError(f"unknown config key {key!r}")
             values[key] = value
     config = PipelineConfig(**values)
     config.validate()

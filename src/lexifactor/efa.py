@@ -25,8 +25,9 @@ LAPACK's symmetric routines read one triangle of a matrix and overwrite
 only that triangle and the diagonal, so the spectrum, the SMC start and
 every ULS pass run in the correlation matrix itself (see
 :func:`_lapack_view`): its other triangle keeps the values, which are
-copied back, with the saved diagonal, once LAPACK is done. Only the SMC
-start of a matrix that cannot be lent to LAPACK inverts a copy.
+copied back, with the saved diagonal, once LAPACK is done. A LAPACK
+failure, or a SciPy without a routine the stage calls, is a
+:class:`StageError`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import FactorLoadings, LoadingTable
-from .errors import DegenerateColumnError, ValidationError
+from .errors import DegenerateColumnError, StageError, ValidationError
 from .matrix import DocTermMatrix, column_stats
 
 
@@ -106,7 +107,7 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     # The counts are made a block of rows at a time straight into the one
     # p x p array and turned into phi there, so no second p x p array exists.
     values = np.empty((matrix.n_terms, matrix.n_terms))
-    for rows, counts in _cooccurrence_blocks(matrix):
+    for rows, counts in _cooccurrence_blocks(matrix, stats.df):
         block = values[rows]
         block[...] = counts
         block /= matrix.n_docs
@@ -117,9 +118,10 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(values=values, terms=matrix.terms)
 
 
-def _cooccurrence_blocks(matrix: DocTermMatrix) -> Iterator[tuple[slice, np.ndarray]]:
+def _cooccurrence_blocks(matrix: DocTermMatrix, doc_freq: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Rows of the p x p counts of documents that hold both terms, a
-    block of rows at a time, as int64 arrays.
+    block of rows at a time, as int64 arrays; ``doc_freq`` holds the
+    number of documents of each term.
 
     Each (term, document) entry of the block's terms expands to that
     document's terms, one (term, term) pair each, and ``np.bincount``
@@ -130,7 +132,6 @@ def _cooccurrence_blocks(matrix: DocTermMatrix) -> Iterator[tuple[slice, np.ndar
     p = matrix.n_terms
     # The documents of each term, term by term, and the pairs they expand to.
     docs = matrix.row_of_entry()[np.argsort(matrix.indices, kind="stable")]
-    doc_freq = np.bincount(matrix.indices, minlength=p)
     pairs = np.diff(matrix.indptr)[docs]
     term_start = np.zeros(p + 1, dtype=np.intp)
     np.cumsum(doc_freq, out=term_start[1:])
@@ -170,7 +171,11 @@ def eigendecompose(corr: CorrelationMatrix) -> np.ndarray:
     with _lapack_view(corr.values, lower=True) as a:
         eigenvalues, _, info = lapack.dsyev(a, compute_v=0, lower=1, lwork=lwork, overwrite_a=1)
     _check_info("dsyev", info)
-    return np.sort(eigenvalues)[::-1]
+    return eigenvalues[::-1]
+
+
+# Every routine of SciPy's LAPACK wrapper that the stage calls.
+_ROUTINES = ("dsyev", "dsyev_lwork", "dsyevr", "dsyevr_lwork", "dpotrf", "dpotri", "dsytrf", "dsytrf_lwork", "dsytri")
 
 
 def _lapack() -> ModuleType:
@@ -180,14 +185,15 @@ def _lapack() -> ModuleType:
     Unless it is loaded already, it is loaded from SciPy's ``linalg``
     directory without importing ``scipy`` or ``scipy.linalg``, and
     registered under its name, so a later ``import scipy.linalg`` takes
-    this module and its functions.
+    this module and its functions. No SciPy, no wrapper module, or a
+    wrapper without one of :data:`_ROUTINES` is a :class:`StageError`.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
         scipy = importlib.util.find_spec("scipy")
         if scipy is None:
-            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+            raise StageError("the efa stage needs SciPy, which is not installed")
         scipy_dir = scipy.submodule_search_locations[0]
         finder = importlib.machinery.FileFinder(
             os.path.join(scipy_dir, "linalg"),
@@ -195,10 +201,15 @@ def _lapack() -> ModuleType:
         )
         spec = finder.find_spec(name)
         if spec is None:
-            raise ImportError(f"SciPy at {scipy_dir} has no {name} extension module")
+            raise StageError(f"SciPy at {scipy_dir} has no {name} extension module")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
+    missing = next((routine for routine in _ROUTINES if not hasattr(module, routine)), None)
+    if missing:
+        from importlib.metadata import version
+
+        raise StageError(f"SciPy {version('scipy')} has no LAPACK routine {missing}")
     return module
 
 
@@ -206,14 +217,13 @@ def _work_sizes(routine: str, query: tuple) -> list[int]:
     """The work array sizes a LAPACK ``*_lwork`` query returns, made
     integers as ``scipy.linalg.lapack._compute_lwork`` makes them."""
     *sizes, info = query
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} work size query failed: info {info}")
+    _check_info(f"{routine}_lwork", info)
     return [int(size) for size in sizes]
 
 
 def _check_info(routine: str, info: int) -> None:
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed: info {info}")
+        raise StageError(f"LAPACK {routine} failed: info {info}")
 
 
 def _row_blocks(p: int) -> Iterator[slice]:
@@ -222,31 +232,25 @@ def _row_blocks(p: int) -> Iterator[slice]:
     return (slice(start, min(start + step, p)) for start in range(0, p, step))
 
 
-def _unborrowable(values: np.ndarray) -> str | None:
-    """Why :func:`_lapack_view` cannot lend ``values`` to LAPACK and put
-    it back bit for bit, or None if it can: the matrix must be a square,
-    writable, C-ordered float64 array, finite and exactly symmetric."""
+def _require_borrowable(values: np.ndarray) -> None:
+    """Raise a :class:`ValidationError` unless :func:`_lapack_view` can
+    lend ``values`` to LAPACK and put it back bit for bit: the matrix
+    must be a square, writable, C-ordered float64 array, finite and
+    exactly symmetric."""
     if not (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
         and values.flags.c_contiguous
         and values.flags.writeable
     ):
-        return "correlation matrix must be a writable C-ordered float64 array"
+        raise ValidationError("correlation matrix must be a writable C-ordered float64 array")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        return f"correlation matrix must be square, got {values.shape}"
+        raise ValidationError(f"correlation matrix must be square, got {values.shape}")
     blocks = list(_row_blocks(values.shape[0]))
     if not all(np.isfinite(values[rows]).all() for rows in blocks):
-        return "correlation matrix holds NaN or infinite entries"
+        raise ValidationError("correlation matrix holds NaN or infinite entries")
     if not all(np.array_equal(values[rows], values[:, rows].T) for rows in blocks):
-        return "correlation matrix is not exactly symmetric"
-    return None
-
-
-def _require_borrowable(values: np.ndarray) -> None:
-    problem = _unborrowable(values)
-    if problem:
-        raise ValidationError(problem)
+        raise ValidationError("correlation matrix is not exactly symmetric")
 
 
 @contextmanager
@@ -309,7 +313,8 @@ def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int 
 def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
     """Squared multiple correlations, 1 - 1/diag(C^-1), or each row's
     largest |correlation| off the diagonal when C is singular; clipped
-    to [0, 1]. No step copies C whole when it can be lent to LAPACK."""
+    to [0, 1]. C must be a matrix :func:`_lapack_view` can lend; no step
+    copies it."""
     inverse_diag = _inverse_diagonal(corr_values)
     smc = _row_maximum(corr_values) if inverse_diag is None else 1.0 - 1.0 / inverse_diag
     smc = np.nan_to_num(smc, nan=0.0, posinf=1.0, neginf=0.0)
@@ -317,38 +322,29 @@ def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:
 
 
 def _inverse_diagonal(corr_values: np.ndarray) -> np.ndarray | None:
-    """The diagonal of the inverse of ``corr_values``, or None if LAPACK
-    finds the matrix singular.
+    """The diagonal of the inverse of ``corr_values``, a matrix that
+    :func:`_lapack_view` can lend, or None if LAPACK finds it singular.
 
-    A matrix that :func:`_lapack_view` can lend is inverted from the
-    view's upper triangle in its own memory and put back: by ``dpotrf``
-    and ``dpotri`` if it is positive definite, the steps SciPy's ``inv``
-    takes for such a matrix, and else by the symmetric indefinite
-    ``dsytrf`` and ``dsytri``. ``clean=0`` keeps ``dpotrf`` from zeroing
-    the other triangle, which holds the matrix while LAPACK works. Any
-    other matrix is inverted by ``dgetrf`` and ``dgetri`` in one
-    Fortran-ordered copy.
+    The matrix is inverted from the view's upper triangle in its own
+    memory and put back: by ``dpotrf`` and ``dpotri`` if it is positive
+    definite, the steps SciPy's ``inv`` takes for such a matrix, and else
+    by the symmetric indefinite ``dsytrf`` and ``dsytri``. ``clean=0``
+    keeps ``dpotrf`` from zeroing the other triangle, which holds the
+    matrix while LAPACK works.
     """
     lapack = _lapack()
-    p = len(corr_values)
-    if not _unborrowable(corr_values):
-        with _lapack_view(corr_values, lower=False) as a:
-            factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
-            if info == 0:
-                inverse, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
-            if info == 0:
-                return np.diag(inverse).copy()
-        (lwork,) = _work_sizes("dsytrf", lapack.dsytrf_lwork(p, lower=0))
-        with _lapack_view(corr_values, lower=False) as a:
-            factor, pivots, info = lapack.dsytrf(a, lower=0, lwork=lwork, overwrite_a=1)
-            if info == 0:
-                inverse, info = lapack.dsytri(factor, pivots, lower=0, overwrite_a=1)
-            return np.diag(inverse).copy() if info == 0 else None
-    lu, pivots, info = lapack.dgetrf(np.array(corr_values, dtype=np.float64, order="F"), overwrite_a=1)
-    if info == 0:
-        (lwork,) = _work_sizes("dgetri", lapack.dgetri_lwork(p))
-        inverse, info = lapack.dgetri(lu, pivots, lwork=lwork, overwrite_lu=1)
-    return np.diag(inverse).copy() if info == 0 else None
+    with _lapack_view(corr_values, lower=False) as a:
+        factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
+        if info == 0:
+            inverse, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
+        if info == 0:
+            return np.diag(inverse).copy()
+    (lwork,) = _work_sizes("dsytrf", lapack.dsytrf_lwork(len(corr_values), lower=0))
+    with _lapack_view(corr_values, lower=False) as a:
+        factor, pivots, info = lapack.dsytrf(a, lower=0, lwork=lwork, overwrite_a=1)
+        if info == 0:
+            inverse, info = lapack.dsytri(factor, pivots, lower=0, overwrite_a=1)
+        return np.diag(inverse).copy() if info == 0 else None
 
 
 def _row_maximum(values: np.ndarray) -> np.ndarray:

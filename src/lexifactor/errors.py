@@ -3,8 +3,8 @@
 Errors are split by how the command-line driver reports them: validation
 problems (bad arguments, bad configuration) exit with status 1, stage
 failures (unparseable inputs, empty intermediate products, missing
-upstream artifacts) exit with status 2, and I/O failures exit with
-status 3.
+upstream artifacts, a LAPACK failure or a SciPy without a routine the
+efa stage calls) exit with status 2, and I/O failures exit with status 3.
 """
 
 from __future__ import annotations
@@ -14,19 +14,11 @@ from pathlib import Path
 from typing import Iterator
 
 
-class LexifactorError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ValidationError(LexifactorError):
+class ValidationError(Exception):
     """Invalid user input: bad flag values, malformed configuration."""
 
 
-class ConfigurationError(ValidationError):
-    """A configuration file could not be parsed or contains bad keys."""
-
-
-class StageError(LexifactorError):
+class StageError(Exception):
     """A pipeline stage could not produce its artifact."""
 
 
@@ -74,11 +66,3 @@ class EmptyMatrixError(StageError):
 
 class DegenerateColumnError(StageError):
     """A correlation was requested over a constant column."""
-
-
-class DependencyError(StageError):
-    """A stage was invoked before the artifact it consumes exists."""
-
-    def __init__(self, artifact: str):
-        self.artifact = artifact
-        super().__init__(f"missing required artifact: {artifact}")

@@ -52,7 +52,7 @@ from .artifacts import (
 )
 from .atomic import atomic_open
 from .config import PipelineConfig, parse_factor_spec
-from .errors import DependencyError, StageError, ValidationError
+from .errors import StageError, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,7 +111,7 @@ _LOG = logging.getLogger("lexifactor")
 
 def _require_artifact(path: Path) -> Path:
     if not path.is_file():
-        raise DependencyError(str(path))
+        raise StageError(f"missing required artifact: {path}")
     return path
 
 

@@ -1,6 +1,9 @@
+import shutil
 import sys
 import tracemalloc
+import types
 import warnings
+from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from lexifactor import (
     DegenerateColumnError,
     FactorLoadings,
     LoadingTable,
+    StageError,
     ValidationError,
     correlation_matrix,
     eigendecompose,
@@ -37,6 +41,7 @@ from lexifactor import (
     varimax_rotate,
 )
 from lexifactor.efa import (
+    _ROUTINES,
     _anchor_signs,
     _initial_communalities,
     _lapack,
@@ -44,6 +49,7 @@ from lexifactor.efa import (
     _top_eigenpairs,
     uls_objective,
 )
+from test_pipeline_cli import run_command, write_corpus
 
 # SciPy's compiled LAPACK wrapper, through which the efa stage calls LAPACK.
 FLAPACK = _lapack()
@@ -145,7 +151,7 @@ class TestLapackMatchesPublicScipy:
 
     def test_same_module_and_functions_as_scipy_linalg_lapack(self):
         assert FLAPACK is sys.modules["scipy.linalg._flapack"]
-        for name in ("dsyev", "dsyevr", "dpotrf", "dpotri", "dsytrf", "dgetrf", "dgetri"):
+        for name in _ROUTINES:
             assert getattr(FLAPACK, name) is getattr(scipy.linalg.lapack, name)
 
     @pytest.mark.parametrize("p", [1, 2, 9, 60, 257])
@@ -408,15 +414,14 @@ SMC_CASES = {
     "positive-definite": lambda: factor_model_corr(np.random.default_rng(11), 30, 3).values,
     "nearly-singular": nearly_singular_corr,
     "indefinite": indefinite_corr,
-    "non-symmetric": non_symmetric_corr,
 }
 
 
 class TestInitialCommunalities:
     """The SMC start: 1 - 1/diag(C^-1), from an in-place Cholesky inverse
-    when C is exactly symmetric positive definite, else from a symmetric
-    indefinite factorization in place or, for a C that cannot be lent to
-    LAPACK, an LU factorization of a copy."""
+    when C is positive definite, else from a symmetric indefinite
+    factorization in place. C is a matrix the public path accepts: a
+    writable C-ordered float64 array, finite and exactly symmetric."""
 
     @pytest.mark.parametrize("case", SMC_CASES)
     def test_equals_inverse_diagonal(self, case):
@@ -427,33 +432,28 @@ class TestInitialCommunalities:
 
     @pytest.mark.parametrize(
         "case, inv_calls",
-        [("positive-definite", 0), ("nearly-singular", 0), ("indefinite", 1), ("non-symmetric", 1)],
+        [("positive-definite", 0), ("nearly-singular", 0), ("indefinite", 1)],
     )
     def test_inv_only_without_cholesky(self, case, inv_calls, monkeypatch):
         C = SMC_CASES[case]()
         calls = []
-        for name in ("dsytrf", "dgetrf"):
+        dsytrf = FLAPACK.dsytrf
 
-            def counted(a, *args, _name=name, _factorize=getattr(FLAPACK, name), **kwargs):
-                calls.append((_name, np.shares_memory(a, C)))
-                return _factorize(a, *args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(np.shares_memory(a, C))
+            return dsytrf(a, *args, **kwargs)
 
-            monkeypatch.setattr(FLAPACK, name, counted)
+        monkeypatch.setattr(FLAPACK, "dsytrf", counted)
         _initial_communalities(C)
-        assert len(calls) == inv_calls
-        # The exactly symmetric C is factorized in its own memory, any
-        # other in a copy.
-        in_place = case != "non-symmetric"
-        assert all(call == (("dsytrf", True) if in_place else ("dgetrf", False)) for call in calls)
+        # C is factorized in its own memory.
+        assert calls == [True] * inv_calls
 
     def test_singular_falls_back_to_row_maximum(self):
-        # rows 0 and 1 are equal: Cholesky and LU both meet an exact zero pivot
+        # rows 0 and 1 are equal: both factorizations meet an exact zero pivot
         C = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.inv(C)
         assert _initial_communalities(C).tolist() == [1.0, 1.0, 0.5]
-        # a Fortran-ordered copy cannot be lent to LAPACK: LU meets the zero pivot
-        assert _initial_communalities(np.asfortranarray(C)).tolist() == [1.0, 1.0, 0.5]
 
 
 def traced_peak(fn, *args) -> int:
@@ -562,6 +562,61 @@ class TestWorkingMemory:
         values = layout(factor_model_corr(np.random.default_rng(6), 12, 2).values)
         with pytest.raises(ValidationError, match="writable C-ordered float64"):
             solver(CorrelationMatrix(values=values, terms=tuple(f"t{i}" for i in range(12))))
+
+
+def failing_dsyevr(monkeypatch) -> None:
+    """Make LAPACK's ``dsyevr`` do its work and then report info 7."""
+    dsyevr = FLAPACK.dsyevr
+    monkeypatch.setattr(FLAPACK, "dsyevr", lambda *args, **kwargs: (*dsyevr(*args, **kwargs)[:-1], 7))
+
+
+def scipy_without_dsytri(monkeypatch) -> None:
+    """Stand in a wrapper module that has every routine the stage calls but ``dsytri``."""
+    stub = types.ModuleType(FLAPACK.__name__)
+    for name in _ROUTINES:
+        if name != "dsytri":
+            setattr(stub, name, getattr(FLAPACK, name))
+    monkeypatch.setitem(sys.modules, FLAPACK.__name__, stub)
+
+
+@pytest.fixture(scope="module")
+def matrix_run(lexicon_dir, tmp_path_factory):
+    """A corpus and the output directory of its stages up to ``matrix``, to copy."""
+    root = tmp_path_factory.mktemp("matrix_run")
+    corpus = write_corpus(root / "reviews.jsonl")
+    for stage in ("ingest", "dict", "matrix"):
+        assert run_command(stage, corpus, lexicon_dir, root / "out") == 0
+    return corpus, root / "out"
+
+
+class TestFailures:
+    """A LAPACK failure and a SciPy without a routine the stage calls are
+    stage errors, which the command line reports in one line."""
+
+    def test_lapack_failure_is_stage_error_and_matrix_is_put_back(self, monkeypatch):
+        corr = factor_model_corr(np.random.default_rng(5), 70, 3)
+        before = corr.values.tobytes()
+        failing_dsyevr(monkeypatch)
+        with pytest.raises(StageError, match="^LAPACK dsyevr failed: info 7$"):
+            extract_uls(corr, 3)
+        assert corr.values.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "break_lapack, message",
+        [
+            (failing_dsyevr, "LAPACK dsyevr failed: info 7"),
+            (scipy_without_dsytri, f"SciPy {version('scipy')} has no LAPACK routine dsytri"),
+        ],
+        ids=["dsyevr-info-7", "no-dsytri"],
+    )
+    def test_efa_command_ends_in_one_line(self, break_lapack, message, matrix_run, lexicon_dir, tmp_path,
+                                          monkeypatch, capsys):
+        corpus, finished = matrix_run
+        out = shutil.copytree(finished, tmp_path / "out")
+        break_lapack(monkeypatch)
+        capsys.readouterr()
+        assert run_command("efa", corpus, lexicon_dir, out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestUlsMatchesOutOfPlaceLoop:

@@ -529,6 +529,22 @@ class TestConfigHandling:
         assert main(["pipeline", "--config", str(config_file)]) == 1
         assert capsys.readouterr().err == f"error: config file is not UTF-8 text: {config_file}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "config file not found: {path}"),
+            ("retain = 3\nretain = 4\n", "{path}:2: duplicate config key 'retain'"),
+            ("threshold = high\n", "config key 'threshold': cannot parse 'high'"),
+        ],
+        ids=["missing", "duplicate-key", "unparseable-value"],
+    )
+    def test_config_file_error_is_one_validation_line(self, text, message, tmp_path, capsys):
+        config_file = tmp_path / "run.conf"
+        if text is not None:
+            config_file.write_text(text, encoding="utf-8")
+        assert main(["pipeline", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=config_file)}\n"
+
     def test_stage_with_different_config_refused(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_pipeline(corpus, lexicon_dir, out) == 0
@@ -643,6 +659,7 @@ class TestExitCodes:
 
     def test_verify_without_manifest(self, tmp_path, capsys):
         assert main(["verify", "--output-dir", str(tmp_path / "empty")]) == 2
+        assert capsys.readouterr().err == f"error: missing required artifact: {tmp_path / 'empty' / 'manifest.json'}\n"
 
     def test_verify_detects_tampering(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
