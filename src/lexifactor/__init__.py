@@ -41,16 +41,7 @@ _EXPORTS = {
         "varimax_criterion",
         "varimax_rotate",
     ),
-    "errors": (
-        "DegenerateColumnError",
-        "DuplicateIdError",
-        "EmptyDictionaryError",
-        "EmptyMatrixError",
-        "ParseError",
-        "SchemaError",
-        "StageError",
-        "ValidationError",
-    ),
+    "errors": ("ParseError", "StageError", "ValidationError"),
     "ingest": ("Review", "Token", "load_reviews", "tokenize"),
     "lexicon": (
         "Lexicon",

@@ -193,8 +193,8 @@ class TermDictionary:
         return [self.provenance[term].forms for term in self.terms]
 
     def json_lines(self) -> Iterator[str]:
-        """``dictionary.json``, the payload :meth:`from_json_dict` reads, a
-        line at a time: one line per term, each the record as
+        """``dictionary.json``, the payload :meth:`TermColumns.from_json_dict`
+        reads, a line at a time: one line per term, each the record as
         ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` writes
         it, built from one template instead of through the encoder."""
         if not self.terms:
@@ -220,24 +220,6 @@ class TermDictionary:
         and no JSON string holds a raw newline."""
         return data.count(b"\n{")
 
-    @classmethod
-    def from_json_dict(cls, payload: dict, path: str | Path) -> "TermDictionary":
-        """The dictionary that ``payload``, read from ``path``, holds."""
-        columns = TermColumns.from_json_dict(payload, path)
-        try:
-            provenance = {
-                term: TermProvenance(
-                    pos=record["pos"],
-                    doc_freq=record["doc_freq"],
-                    sense_ids=tuple((pos, int(offset)) for pos, offset in record["sense_ids"]),
-                    forms=forms,
-                )
-                for term, forms, record in zip(columns.terms, columns.forms, payload["terms"])
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed dictionary payload: {exc}", path=str(path)) from exc
-        return cls(terms=columns.terms, index=columns.index, provenance=provenance)
-
 
 @dataclass(frozen=True)
 class TermColumns:
@@ -253,14 +235,19 @@ class TermColumns:
     @classmethod
     def from_json_dict(cls, payload: dict, path: str | Path) -> "TermColumns":
         """The terms and forms that ``payload``, read from ``path``,
-        holds. No other field of a record is read or checked."""
+        holds: distinct string terms, each with a list of string forms.
+        No other field of a record is read or checked."""
         try:
             records = payload["terms"]
-            terms = tuple(record["term"] for record in records)
+            terms = tuple(term for record in records for term in _strings([record["term"]]))
             forms = tuple(_strings(record["forms"]) for record in records)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed dictionary payload: {exc}", path=str(path)) from exc
-        return cls(terms=terms, index={t: i for i, t in enumerate(terms)}, forms=forms)
+        index = {term: i for i, term in enumerate(terms)}
+        if len(index) < len(terms):
+            repeated = next(term for i, term in enumerate(terms) if index[term] != i)
+            raise ParseError(f"term {repeated!r} is listed twice", path=str(path))
+        return cls(terms=terms, index=index, forms=forms)
 
 
 def _strings(value: Any) -> tuple[str, ...]:

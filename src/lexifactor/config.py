@@ -55,7 +55,7 @@ class PipelineConfig:
         parse_factor_spec(self.factors)
         if not 0.0 <= self.min_variance <= 0.25:
             raise ValidationError(f"min_variance must lie in [0, 0.25], got {self.min_variance}")
-        if self.threshold < 0.0:
+        if not 0.0 <= self.threshold < float("inf"):  # NaN and infinity too
             raise ValidationError(f"threshold must be non-negative, got {self.threshold}")
         for name in ("retain", "exemplars", "threads"):
             value = getattr(self, name)

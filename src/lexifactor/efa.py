@@ -45,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import FactorLoadings, LoadingTable
-from .errors import DegenerateColumnError, StageError, ValidationError
+from .errors import StageError, ValidationError
 from .matrix import DocTermMatrix, column_stats
 
 
@@ -102,7 +102,7 @@ def correlation_matrix(matrix: DocTermMatrix) -> CorrelationMatrix:
     constant = np.nonzero(variances == 0.0)[0]
     if constant.size:
         names = ", ".join(matrix.terms[i] for i in constant[:5])
-        raise DegenerateColumnError(f"constant columns have no correlation: {names}")
+        raise StageError(f"constant columns have no correlation: {names}")
 
     # The counts are made a block of rows at a time straight into the one
     # p x p array and turned into phi there, so no second p x p array exists.
@@ -439,8 +439,6 @@ def _top_eigenpairs(p: int, k: int) -> Callable[[np.ndarray], tuple[np.ndarray, 
     return solve
 
 
-
-
 def _anchor_signs(L: np.ndarray) -> np.ndarray:
     """Per column of ``L``, the sign (+1.0 or -1.0) that makes its
     largest-magnitude entry positive; the first such entry wins a tie.
@@ -608,7 +606,7 @@ def prune_loadings(rotated: np.ndarray, threshold: float, terms: Sequence[str]) 
     ``rotated`` is the p x k rotated pattern, ``VarimaxResult.loadings``;
     row i belongs to ``terms[i]``.
     """
-    if threshold < 0.0:
+    if not 0.0 <= threshold < math.inf:  # NaN and infinity too
         raise ValidationError(f"threshold must be non-negative, got {threshold}")
     if len(terms) != rotated.shape[0]:
         raise ValidationError(f"{len(terms)} terms for {rotated.shape[0]} loading rows")

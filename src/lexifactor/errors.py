@@ -1,10 +1,11 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception classes shared across the pipeline.
 
-Errors are split by how the command-line driver reports them: validation
-problems (bad arguments, bad configuration) exit with status 1, stage
-failures (unparseable inputs, empty intermediate products, missing
-upstream artifacts, a LAPACK failure or a SciPy without a routine the
-efa stage calls) exit with status 2, and I/O failures exit with status 3.
+The command-line driver maps each kind to an exit status:
+:class:`ValidationError` (bad arguments or configuration) to 1;
+:class:`StageError` (unparseable inputs, empty intermediate products,
+missing upstream artifacts, a LAPACK failure, a SciPy without a routine
+the efa stage calls) to 2, :class:`ParseError` being the one that names
+the file and line; ``OSError`` to 3.
 """
 
 from __future__ import annotations
@@ -46,23 +47,3 @@ def named_decode_errors(path: str | Path) -> Iterator[None]:
         yield
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from exc
-
-
-class SchemaError(ParseError):
-    """A record is syntactically valid but missing required fields."""
-
-
-class DuplicateIdError(StageError):
-    """Two reviews share an id within one corpus."""
-
-
-class EmptyDictionaryError(StageError):
-    """Dictionary construction admitted no terms."""
-
-
-class EmptyMatrixError(StageError):
-    """Matrix construction or filtering left no usable columns."""
-
-
-class DegenerateColumnError(StageError):
-    """A correlation was requested over a constant column."""

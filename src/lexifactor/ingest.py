@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateIdError, ParseError, SchemaError, ValidationError, named_decode_errors
+from .errors import ParseError, ValidationError, named_decode_errors
 
 # A token is a lowercase run of ASCII letters.
 Token = str
@@ -43,8 +43,8 @@ def load_reviews(path: str | Path, format: str = "jsonl") -> list[Review]:
     """Read a review corpus from ``path``.
 
     ``format`` selects the parser: ``"jsonl"`` or ``"csv"``. Review ids
-    must be unique within the file; a repeat raises
-    :class:`DuplicateIdError`.
+    must be unique within the file; a repeat raises a :class:`ParseError`
+    that names the file.
     """
     if format == "jsonl":
         reviews = _load_jsonl(Path(path))
@@ -55,7 +55,7 @@ def load_reviews(path: str | Path, format: str = "jsonl") -> list[Review]:
     seen: set[str] = set()
     for review in reviews:
         if review.id in seen:
-            raise DuplicateIdError(f"duplicate review id: {review.id!r}")
+            raise ParseError(f"duplicate review id: {review.id!r}", path=str(path))
         seen.add(review.id)
     return reviews
 
@@ -64,9 +64,9 @@ def _require_str(record: dict, field: str, *, path: str, line: int) -> str:
     try:
         value = record[field]
     except KeyError:
-        raise SchemaError(f"missing field {field!r}", path=path, line=line) from None
+        raise ParseError(f"missing field {field!r}", path=path, line=line) from None
     if not isinstance(value, str):
-        raise SchemaError(
+        raise ParseError(
             f"field {field!r} must be a string, got {type(value).__name__}",
             path=path,
             line=line,
@@ -86,7 +86,7 @@ def _load_jsonl(path: Path) -> list[Review]:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno) from exc
             if not isinstance(record, dict):
-                raise SchemaError("line is not a JSON object", path=str(path), line=lineno)
+                raise ParseError("line is not a JSON object", path=str(path), line=lineno)
             fields = {name: _require_str(record, name, path=str(path), line=lineno) for name in _REQUIRED_FIELDS}
             reviews.append(Review(**fields))
     return reviews

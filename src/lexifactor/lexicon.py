@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .artifacts import SenseId, TermDictionary, TermProvenance
-from .errors import EmptyDictionaryError, ParseError, ValidationError, named_decode_errors
+from .errors import ParseError, StageError, ValidationError, named_decode_errors
 from .ingest import Review, Token, tokenize
 
 _POS_FROM_TAG = {"n": "noun", "a": "adj", "s": "adj"}
@@ -426,7 +426,7 @@ def build_dictionary(
         )
 
     if not terms:
-        raise EmptyDictionaryError("no candidate terms survived dictionary construction")
+        raise StageError("no candidate terms survived dictionary construction")
     return TermDictionary(
         terms=tuple(terms),
         index={term: i for i, term in enumerate(terms)},

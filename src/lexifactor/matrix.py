@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import TermColumns
-from .errors import EmptyMatrixError, ValidationError
+from .errors import StageError, ValidationError
 from .ingest import Review, tokenize
 
 # lemmatize_token is not called here; it stays importable from this
@@ -146,7 +146,7 @@ def _term_lemmas(reviews: Sequence[Review], dictionary: TermDictionary | TermCol
 def column_stats(matrix: DocTermMatrix) -> ColumnStats:
     """Document frequency, rate p = df/n, and Bernoulli variance p(1-p)."""
     if matrix.n_docs == 0:
-        raise EmptyMatrixError("cannot compute column stats of an empty matrix")
+        raise StageError("cannot compute column stats of an empty matrix")
     df = np.bincount(matrix.indices, minlength=matrix.n_terms)
     p = df / matrix.n_docs
     return ColumnStats(df=df, p=p, variance=p * (1.0 - p))
@@ -181,7 +181,7 @@ def filter_low_variance(
         stats = column_stats(matrix)
     keep = tuple(np.flatnonzero(stats.variance >= min_variance).tolist())
     if not keep:
-        raise EmptyMatrixError(f"no columns with variance >= {min_variance}")
+        raise StageError(f"no columns with variance >= {min_variance}")
     return _select_columns(matrix, keep), keep
 
 
@@ -200,6 +200,6 @@ def filter_top_variance(
     ranked = np.argsort(-stats.variance, kind="stable")
     keep = tuple(np.sort(ranked[:k]).tolist())
     if not keep:
-        raise EmptyMatrixError("matrix has no columns")
+        raise StageError("matrix has no columns")
     return _select_columns(matrix, keep), keep
 

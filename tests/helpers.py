@@ -19,9 +19,9 @@ import numpy as np
 
 from lexifactor import (
     DocTermMatrix,
-    EmptyDictionaryError,
     ParseError,
     SenseId,
+    StageError,
     TermDictionary,
     TermProvenance,
     lemmatize_token,
@@ -364,7 +364,7 @@ def reference_build_dictionary(reviews, lexicon, stopwords) -> TermDictionary:
             pos=pos, sense_ids=tuple(sorted(senses)), doc_freq=freq, forms=tuple(sorted(forms[lemma]))
         )
     if not terms:
-        raise EmptyDictionaryError("no candidate terms survived dictionary construction")
+        raise StageError("no candidate terms survived dictionary construction")
     return TermDictionary(
         terms=tuple(terms), index={t: i for i, t in enumerate(terms)}, provenance=provenance
     )

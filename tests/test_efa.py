@@ -26,7 +26,6 @@ from helpers import (
 )
 from lexifactor import (
     CorrelationMatrix,
-    DegenerateColumnError,
     FactorLoadings,
     LoadingTable,
     StageError,
@@ -100,7 +99,7 @@ class TestCorrelationMatrix:
 
     def test_constant_column_rejected(self):
         dense = np.array([[1, 1], [0, 1]], dtype=float)
-        with pytest.raises(DegenerateColumnError, match="t1"):
+        with pytest.raises(StageError, match="^constant columns have no correlation: t1$"):
             correlation_matrix(from_dense(dense))
 
     def test_terms_carried_over(self):
@@ -890,6 +889,13 @@ class TestPruneLoadings:
             prune_loadings(rotated, -0.1, ("a", "b"))
         with pytest.raises(ValidationError):
             prune_loadings(rotated, 0.3, ("a",))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_threshold_that_is_not_finite_rejected(self, threshold):
+        # NaN fails every comparison, so a ``threshold < 0`` test let it
+        # through and every loading was discarded.
+        with pytest.raises(ValidationError, match=f"^threshold must be non-negative, got {threshold}$"):
+            prune_loadings(np.array([[0.4], [0.4]]), threshold, ("a", "b"))
 
 
 class TestRefineFactors:

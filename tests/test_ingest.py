@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexifactor import (
-    DuplicateIdError,
     ParseError,
     Review,
-    SchemaError,
     ValidationError,
     load_reviews,
     tokenize,
@@ -86,22 +84,22 @@ class TestLoadJsonl:
                 '{"id": "a", "source": "s", "text": "y"}',
             ],
         )
-        with pytest.raises(DuplicateIdError, match="'a'"):
+        with pytest.raises(ParseError, match="duplicate review id: 'a'$") as err:
             load_reviews(path, "jsonl")
+        assert err.value.path == str(path) and err.value.line is None
 
     def test_missing_field_reports_line(self, tmp_path):
         path = self.write(
             tmp_path,
             ['{"id": "a", "source": "s", "text": "x"}', '{"id": "b", "source": "s"}'],
         )
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ParseError, match="missing field 'text'$") as err:
             load_reviews(path, "jsonl")
         assert err.value.line == 2
-        assert "text" in str(err.value)
 
     def test_non_string_field_rejected(self, tmp_path):
         path = self.write(tmp_path, ['{"id": 7, "source": "s", "text": "x"}'])
-        with pytest.raises(SchemaError, match="'id'"):
+        with pytest.raises(ParseError, match="field 'id' must be a string, got int$"):
             load_reviews(path, "jsonl")
 
     def test_invalid_json_reports_line(self, tmp_path):
@@ -112,7 +110,7 @@ class TestLoadJsonl:
 
     def test_non_object_line_rejected(self, tmp_path):
         path = self.write(tmp_path, ['["not", "an", "object"]'])
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError, match="line is not a JSON object$"):
             load_reviews(path, "jsonl")
 
     def test_bom_tolerated(self, tmp_path):
@@ -156,8 +154,9 @@ class TestLoadCsv:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "reviews.csv"
         path.write_text("id,source,text\na,s,x\na,s,y\n", encoding="utf-8")
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(ParseError, match="duplicate review id: 'a'$") as err:
             load_reviews(path, "csv")
+        assert err.value.path == str(path)
 
 
 def test_unknown_format_rejected(tmp_path):

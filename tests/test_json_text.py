@@ -14,7 +14,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexifactor import TermDictionary
+from lexifactor import TermDictionary, TermProvenance
 from lexifactor.artifacts import _json_chunks, _write_json
 
 
@@ -82,7 +82,20 @@ json_values = st.recursive(
 )
 @settings(max_examples=200, deadline=None)
 def test_dictionary_text_equals_json_dumps(payload):
-    dictionary = TermDictionary.from_json_dict(payload, "dictionary.json")
+    records = payload["terms"]
+    dictionary = TermDictionary(
+        terms=tuple(record["term"] for record in records),
+        index={record["term"]: i for i, record in enumerate(records)},
+        provenance={
+            record["term"]: TermProvenance(
+                pos=record["pos"],
+                doc_freq=record["doc_freq"],
+                sense_ids=tuple(tuple(sense) for sense in record["sense_ids"]),
+                forms=tuple(record["forms"]),
+            )
+            for record in records
+        },
+    )
     text = "".join(dictionary.json_lines())
     assert text == dictionary_reference(payload)
     assert json.loads(text) == payload

@@ -20,10 +20,10 @@ from helpers import (
 )
 import lexifactor
 from lexifactor import (
-    EmptyDictionaryError,
     Lexicon,
     ParseError,
     Review,
+    StageError,
     ValidationError,
     build_dictionary,
     lemmatize,
@@ -440,22 +440,26 @@ class TestBuildDictionary:
         assert dictionary.provenance["ticket"].doc_freq == 1
 
     def test_no_candidates_is_an_error(self, lexicon, stopwords):
-        with pytest.raises(EmptyDictionaryError):
+        with pytest.raises(StageError, match="^no candidate terms survived dictionary construction$"):
             build_dictionary(_reviews(["qwzzk zzkqw", "the of and"]), lexicon, stopwords)
 
     def test_json_round_trip(self, lexicon, stopwords):
-        from lexifactor import TermDictionary
+        from lexifactor.artifacts import TermColumns
 
         dictionary = build_dictionary(
             _reviews(["suite ticket", "good noise"]), lexicon, stopwords
         )
-        restored = TermDictionary.from_json_dict(json.loads("".join(dictionary.json_lines())), "dictionary.json")
+        payload = json.loads("".join(dictionary.json_lines()))
+        for term, record in zip(dictionary.terms, payload["terms"], strict=True):
+            entry = dictionary.provenance[term]
+            assert record == {
+                "term": term,
+                "pos": entry.pos,
+                "doc_freq": entry.doc_freq,
+                "sense_ids": [[pos, offset] for pos, offset in entry.sense_ids],
+                "forms": list(entry.forms),
+            }
+        restored = TermColumns.from_json_dict(payload, "dictionary.json")
         assert restored.terms == dictionary.terms
         assert restored.index == dictionary.index
-        assert restored.provenance == dictionary.provenance
-
-    def test_malformed_payload_rejected(self):
-        from lexifactor import TermDictionary
-
-        with pytest.raises(ParseError, match="^dictionary.json: malformed dictionary payload"):
-            TermDictionary.from_json_dict({"terms": [{"term": "x"}]}, "dictionary.json")
+        assert list(restored.forms) == dictionary.forms

@@ -17,10 +17,9 @@ from helpers import (
     to_dense,
 )
 from lexifactor import (
-    EmptyDictionaryError,
-    TermDictionary,
-    EmptyMatrixError,
     Review,
+    StageError,
+    TermDictionary,
     ValidationError,
     build_dictionary,
     build_matrix,
@@ -28,9 +27,11 @@ from lexifactor import (
     filter_low_variance,
     filter_top_variance,
 )
-from lexifactor.artifacts import TermProvenance
+from lexifactor.artifacts import TermColumns, TermProvenance
 from lexifactor.lexicon import ReviewLemmas
 from wordnet_fixture import expected_adj_lemmas, expected_noun_lemmas
+
+EMPTY_DICTIONARY = "no candidate terms survived dictionary construction"
 
 # Lemmas of the fixture lexicon, regular and irregular inflections of
 # them, forms that inflect lemmas it lacks, junk, and stopwords.
@@ -134,8 +135,8 @@ class TestLexicalPassEquivalence:
         reviews = [Review(id=f"r{i}", source="g2", text=text) for i, text in enumerate(texts)]
         try:
             expected = reference_build_dictionary(reviews, lexicon, stopwords)
-        except EmptyDictionaryError:
-            with pytest.raises(EmptyDictionaryError):
+        except StageError:
+            with pytest.raises(StageError, match=f"^{EMPTY_DICTIONARY}$"):
                 build_dictionary(reviews, lexicon, stopwords)
             return
         lemmas = ReviewLemmas()
@@ -169,7 +170,8 @@ class TestDocFreqIsColumnCount:
         lemmas = ReviewLemmas()
         try:
             dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
-        except EmptyDictionaryError:
+        except StageError as err:
+            assert str(err) == EMPTY_DICTIONARY
             return
         df = column_stats(build_matrix(reviews, dictionary, lemmas)).df
         assert df.tolist() == [dictionary.provenance[t].doc_freq for t in dictionary.terms]
@@ -224,13 +226,14 @@ class TestMatrixFromForms:
         lemmas = ReviewLemmas()
         try:
             dictionary = build_dictionary(reviews, glasses_lexicon, stopwords, lemmas)
-        except EmptyDictionaryError:
+        except StageError as err:
+            assert str(err) == EMPTY_DICTIONARY
             return
         expected = build_matrix(reviews, dictionary, lemmas)
         assert build_matrix(reviews, dictionary) == expected
         # as a lone matrix command reads it back from dictionary.json
         payload = json.loads("".join(dictionary.json_lines()))
-        assert build_matrix(reviews, TermDictionary.from_json_dict(payload, "dictionary.json")) == expected
+        assert build_matrix(reviews, TermColumns.from_json_dict(payload, "dictionary.json")) == expected
         df = column_stats(expected).df
         assert df.tolist() == [dictionary.provenance[t].doc_freq for t in dictionary.terms]
 
@@ -258,7 +261,7 @@ class TestColumnStats:
 
     def test_empty_matrix_rejected(self):
         empty = from_rows((), ("a",), ())
-        with pytest.raises(EmptyMatrixError):
+        with pytest.raises(StageError, match="^cannot compute column stats of an empty matrix$"):
             column_stats(empty)
 
     @given(
@@ -305,7 +308,7 @@ class TestFilterLowVariance:
     def test_nothing_survives_is_an_error(self):
         dense = np.zeros((10, 2))
         dense[0, 0] = 1
-        with pytest.raises(EmptyMatrixError):
+        with pytest.raises(StageError, match=r"^no columns with variance >= 0\.25$"):
             filter_low_variance(from_dense(dense), 0.25)
 
     def test_threshold_range_validated(self):

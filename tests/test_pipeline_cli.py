@@ -70,6 +70,12 @@ def finished_run(corpus, lexicon_dir, tmp_path_factory):
     return out
 
 
+def jsonl_lines(*texts, ids=None):
+    """One review record per text, with ids ``ids`` (default d0, d1, ...)."""
+    ids = ids or [f"d{i}" for i in range(len(texts))]
+    return [json.dumps({"id": id_, "source": "g2", "text": text}) for id_, text in zip(ids, texts)]
+
+
 def run_command(command, corpus, lexicon_dir, out):
     """Run ``command`` as :func:`run_stages` runs a stage; ``verify``
     takes the output directory only."""
@@ -448,6 +454,33 @@ class TestLoneMatrixStage:
         assert message in err
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda records: records[1].update(term=7), "malformed dictionary payload: expected a list of strings, got [7]"),
+            (lambda records: records[1].update(term=records[0]["term"]), "term {first!r} is listed twice"),
+        ],
+        ids=["number", "repeated"],
+    )
+    def test_dictionary_terms_must_be_distinct_strings(
+        self, edit, message, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        """A term that is no string would end in a traceback from the
+        Matrix Market writer; a repeated one would write a matrix with a
+        duplicate entry, which ``read_matrix_market`` refuses."""
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / "dictionary.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload["terms"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        before = artifact_bytes(out)
+        capsys.readouterr()
+        assert run_command("matrix", corpus, lexicon_dir, out) == 2
+        first = payload["terms"][0]["term"]
+        assert capsys.readouterr().err == f"error: {path}: {message.format(first=first)}\n"
+        assert artifact_bytes(out) == before
+
+
 class TestCrashSafeWrites:
     """An encoder that fails mid-write leaves the previous artifact whole
     and no temporary file behind."""
@@ -544,6 +577,23 @@ class TestConfigHandling:
             config_file.write_text(text, encoding="utf-8")
         assert main(["pipeline", "--config", str(config_file)]) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=config_file)}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_threshold_that_is_not_finite_is_validation_error(
+        self, source, value, corpus, lexicon_dir, tmp_path, capsys
+    ):
+        """A NaN threshold would discard every loading and put ``NaN``,
+        which is not JSON, into ``manifest.json`` and ``loading_table.json``."""
+        extra = ("--threshold", value)
+        if source == "config-file":
+            config_file = tmp_path / "run.conf"
+            config_file.write_text(f"threshold = {value}\n", encoding="utf-8")
+            extra = ("--config", str(config_file))
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out, extra) == 1
+        assert capsys.readouterr().err == f"error: threshold must be non-negative, got {value}\n"
+        assert not out.exists()
 
     def test_stage_with_different_config_refused(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -656,6 +706,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}:3: entry (111")
         assert err.endswith(f", 1) outside {rows}x{columns}\n")
+
+    @pytest.mark.parametrize(
+        "lines, extra, message",
+        [
+            (jsonl_lines("suite", "agent", ids="aa"), (), "{corpus}: duplicate review id: 'a'"),
+            (jsonl_lines("suite")[:1] + ['{"id": "b", "source": "g2"}'], (), "{corpus}:2: missing field 'text'"),
+            (jsonl_lines("qwzzk zzkqw", "the of and"), (), "no candidate terms survived dictionary construction"),
+            (jsonl_lines("suite", "suite", "agent"), ("--min-variance", "0.25"), "no columns with variance >= 0.25"),
+            (
+                jsonl_lines("suite agent", "suite", "suite box"),
+                ("--min-variance", "0"),
+                "constant columns have no correlation: suite",
+            ),
+        ],
+        ids=["duplicate-id", "missing-text", "no-terms", "no-columns", "constant-column"],
+    )
+    def test_stage_failure_is_one_error_line(self, lines, extra, message, lexicon_dir, tmp_path, capsys):
+        corpus = tmp_path / "reviews.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_pipeline(corpus, lexicon_dir, tmp_path / "out", extra) == 2
+        assert capsys.readouterr().err == f"error: {message.format(corpus=corpus)}\n"
 
     def test_verify_without_manifest(self, tmp_path, capsys):
         assert main(["verify", "--output-dir", str(tmp_path / "empty")]) == 2
