@@ -292,6 +292,12 @@ def _parse_size(lines: Iterable[str], path: str) -> tuple[int, int, int, int]:
 # the manifest and verify
 
 
+def _require_artifact(path: Path) -> Path:
+    if not path.is_file():
+        raise StageError(f"missing required artifact: {path}")
+    return path
+
+
 def _read_manifest(path: Path) -> dict:
     """The manifest at ``path``: an object whose ``stages`` map each
     recorded stage to its ``artifacts`` and ``counts`` objects."""
@@ -315,10 +321,7 @@ def cmd_verify(config: PipelineConfig) -> list[str]:
     a list of problems; empty means the output directory is internally
     consistent.
     """
-    manifest_path = config.out / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise StageError(f"missing required artifact: {manifest_path}")
-    stages = _read_manifest(manifest_path)["stages"]
+    stages = _read_manifest(_require_artifact(config.out / MANIFEST_NAME))["stages"]
     problems: list[str] = []
 
     for stage, entry in stages.items():

@@ -6,16 +6,17 @@ a ``data.<pos>`` file holding the synsets themselves (with their pointer
 lists, where the ``!`` symbol marks antonymy), and a ``<pos>.exc`` file
 of irregular inflections. Only nouns and adjectives participate.
 
-One lexical pass, :meth:`ReviewLemmas.read`, tokenizes each review once,
-drops its stopword tokens and lemmatizes each distinct remaining token
-once. It keeps each review's distinct lemmas as CSR arrays of lemma
-ids, which both the dictionary's document frequencies and the
+One lexical pass, :meth:`ReviewLemmas.read`, tokenizes each review once
+and reads each token through a token→lemma-id map that holds every
+stopword at -1 (no lemma) and lemmatizes any other token once, on its
+first lookup. It keeps each review's distinct lemmas as CSR arrays of
+lemma ids, which both the dictionary's document frequencies and the
 document-term matrix count. Within one ``pipeline`` run the dictionary
 pass hands these arrays to the matrix stage, so the run tokenizes the
 corpus once and parses the database once. Each term of the dictionary
 also records its forms, the distinct tokens that the pass mapped to
 it, so that a ``matrix`` stage run on its own finds each review's terms
-by token lookup, without the database.
+by token lookup in the same per-review loop, without the database.
 
 The parsed lexicon is compact: each ``(lemma, pos)`` entry holds a
 tuple of int synset offsets, its part of speech implied by the key, and
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -107,7 +108,8 @@ class Lexicon:
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list, one word per line; ``#`` lines are comments.
 
-    Without ``path`` the packaged default list is used.
+    Without ``path`` the packaged default list is used. Each entry is
+    lowercased, as every token is.
     """
     if path is None:
         text = resources.files("lexifactor").joinpath("data/stopwords.txt").read_text("utf-8")
@@ -115,7 +117,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
         with named_decode_errors(path):
             text = Path(path).read_text("utf-8")
     words = (line.strip() for line in text.splitlines())
-    return frozenset(w for w in words if w and not w.startswith("#"))
+    return frozenset(w.lower() for w in words if w and not w.startswith("#"))
 
 
 def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -326,38 +328,45 @@ class ReviewLemmas:
     ) -> "ReviewLemmas":
         """Replace the contents with those of ``reviews`` and return self.
 
-        Each review is tokenized once, its stopword tokens are dropped,
-        and each distinct remaining token is lemmatized once, through a
-        token→lemma-id map that ends with the pass.
+        Each review is tokenized once. Each token is read through a
+        token→lemma-id map, which ends with the pass, holds every stopword
+        at -1 and lemmatizes any other token once, on its first lookup.
         """
         _lexical_pass(self, reviews, lexicon, stopwords)
         return self
 
 
-def _lexical_pass(
-    lemmas: ReviewLemmas, reviews: Iterable[Review], lexicon: Lexicon, stopwords: frozenset[str]
-) -> dict[Token, int]:
-    """Fill ``lemmas`` as :meth:`ReviewLemmas.read` does; return the map of
-    every distinct non-stopword token to its lemma id, -1 for none."""
-    lemma_of: dict[Token, int] = {}
-    vocabulary: dict[str, int] = {}
+def _review_ids(
+    reviews: Iterable[Review], id_of: Callable[[Token], int | None], miss: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each review's distinct ``id_of(token)`` over its tokens, except
+    ``miss``, as CSR arrays ``(indptr, ids)``."""
     indptr = [0]
     ids: list[int] = []
     for review in reviews:
-        tokens = set(tokenize(review.text)) - stopwords
-        for token in tokens.difference(lemma_of):
-            lemma = lemmatize_token(lexicon, token)
-            if lemma is None:
-                lemma_of[token] = -1
-            else:
-                lemma_of[token] = vocabulary.setdefault(lemma, len(vocabulary))
-        found = set(map(lemma_of.__getitem__, tokens))
-        found.discard(-1)
+        found = set(map(id_of, tokenize(review.text)))
+        found.discard(miss)
         ids.extend(found)
         indptr.append(len(ids))
+    return np.array(indptr, dtype=np.int64), np.array(ids, dtype=np.int64)
+
+
+def _lexical_pass(
+    lemmas: ReviewLemmas, reviews: Iterable[Review], lexicon: Lexicon, stopwords: frozenset[str]
+) -> dict[Token, int]:
+    """Fill ``lemmas`` as :meth:`ReviewLemmas.read` does; return its token
+    map: each stopword and distinct token of ``reviews`` to a lemma id or -1."""
+    vocabulary: dict[str, int] = {}
+
+    class LemmaIds(dict):
+        def __missing__(self, token: Token) -> int:
+            lemma = lemmatize_token(lexicon, token)
+            self[token] = lemma_id = -1 if lemma is None else vocabulary.setdefault(lemma, len(vocabulary))
+            return lemma_id
+
+    lemma_of = LemmaIds.fromkeys(stopwords, -1)
+    lemmas.indptr, lemmas.ids = _review_ids(reviews, lemma_of.__getitem__, -1)
     lemmas.vocabulary = tuple(vocabulary)
-    lemmas.indptr = np.array(indptr, dtype=np.int64)
-    lemmas.ids = np.array(ids, dtype=np.int64)
     return lemma_of
 
 

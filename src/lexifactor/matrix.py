@@ -5,10 +5,11 @@ when some non-stopword token of document ``d`` lemmatizes to dictionary
 term ``t``, so column ``t`` holds the term's document frequency. Within
 one run it is built from the per-review lemma ids of the lexical pass
 (:class:`lexifactor.lexicon.ReviewLemmas`) that the dictionary pass
-fills, so building it needs no second pass over the text. Built from
-the dictionary alone, it looks each review's tokens up among the terms'
-recorded surface forms, with neither the lexical database nor the
-stopword list. It is stored in compressed sparse row (CSR) form: the
+fills, so building it needs no second pass over the text (its token
+map holds each stopword at -1, no lemma). Built from the dictionary
+alone, the same per-review loop looks each review's tokens up among the
+terms' recorded surface forms, with neither the lexical database nor
+the stopword list. It is stored in compressed sparse row (CSR) form: the
 columns of row ``d`` are ``indices[indptr[d]:indptr[d + 1]]``,
 ascending and unique. Every consumer works on those two arrays
 directly.
@@ -23,11 +24,11 @@ import numpy as np
 
 from .artifacts import TermColumns
 from .errors import StageError, ValidationError
-from .ingest import Review, tokenize
 
-# lemmatize_token is not called here; it stays importable from this
-# module because bench/traced.py counts its calls through it.
-from .lexicon import Lexicon, ReviewLemmas, TermDictionary, lemmatize_token  # noqa: F401
+# tokenize and lemmatize_token are not called here; they stay importable
+# from this module because bench/traced.py counts their calls through it.
+from .ingest import Review, tokenize  # noqa: F401
+from .lexicon import Lexicon, ReviewLemmas, TermDictionary, _review_ids, lemmatize_token  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -92,7 +93,8 @@ def build_matrix(
     ``lemmas`` is the lexical pass over ``reviews`` that
     :func:`lexifactor.lexicon.build_dictionary` filled, so the matrix is
     built without tokenizing. Without it, each review is tokenized and
-    its tokens are looked up among the terms' ``forms``: for the reviews
+    its tokens are looked up among the terms' ``forms``, in the lexical
+    pass's per-review loop (``lexicon._review_ids``): for the reviews
     the dictionary was built from, each column then counts exactly the
     reviews its term's ``doc_freq`` counted. Given a :class:`Lexicon`, as
     the corpus-scale acceptance criterion calls it, this runs the
@@ -101,7 +103,9 @@ def build_matrix(
     that term's column although ``doc_freq`` did not count it.
     """
     if lemmas is None:
-        lemmas = _term_lemmas(reviews, dictionary)
+        # Each review's terms, as lemma ids over the vocabulary of terms.
+        term_of = {form: term for term, forms in enumerate(dictionary.forms) for form in forms}
+        lemmas = ReviewLemmas(dictionary.terms, *_review_ids(reviews, term_of.get, None))
     elif isinstance(lemmas, Lexicon):
         lemmas = ReviewLemmas().read(reviews, lemmas)
     n_docs, n_terms = len(reviews), len(dictionary.terms)
@@ -122,24 +126,6 @@ def build_matrix(
         terms=dictionary.terms,
         indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_docs)))),
         indices=indices,
-    )
-
-
-def _term_lemmas(reviews: Sequence[Review], dictionary: TermDictionary | TermColumns) -> ReviewLemmas:
-    """Each review's terms as lemma ids over the vocabulary of terms: the
-    terms of which one of its tokens is a recorded surface form."""
-    column_of = {form: column for column, forms in enumerate(dictionary.forms) for form in forms}
-    indptr = [0]
-    ids: list[int] = []
-    for review in reviews:
-        found = set(map(column_of.get, tokenize(review.text)))
-        found.discard(None)
-        ids.extend(found)
-        indptr.append(len(ids))
-    return ReviewLemmas(
-        vocabulary=dictionary.terms,
-        indptr=np.array(indptr, dtype=np.int64),
-        ids=np.array(ids, dtype=np.int64),
     )
 
 

@@ -37,7 +37,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from . import __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from .artifacts import (
     MANIFEST_NAME,
     STAGE_ARTIFACTS,
@@ -45,6 +45,7 @@ from .artifacts import (
     TermColumns,
     _read_json,
     _read_manifest,
+    _require_artifact,
     _sha256,
     _write_json,
     table_from_payload,
@@ -61,44 +62,26 @@ if TYPE_CHECKING:
     from .ingest import Review
     from .lexicon import ReviewLemmas
 
-# The names the stages call, by the layer that defines them. No layer is
-# imported with this module: a stage binds its layers' names when it
-# starts (:func:`_bind`), so a command loads only the layers it runs.
-# A name already set here, such as a wrapper put in place before the
-# stage runs, is kept and called. Read as an attribute of this module,
-# each name imports its layer (PEP 562).
-_LAYER_NAMES = {
-    "ingest": ("load_reviews",),
-    "lexicon": ("ReviewLemmas", "build_dictionary", "load_stopwords", "parse_lexical_database"),
-    "matrix": ("build_matrix", "column_stats", "filter_low_variance"),
-    "mmio": ("read_matrix_market", "write_matrix_market"),
-    "efa": (
-        "correlation_matrix",
-        "eigendecompose",
-        "extract_uls",
-        "prune_loadings",
-        "refine_factors",
-        "select_factor_count",
-        "varimax_rotate",
-    ),
-    "report": ("attach_labels", "build_report", "emit_report", "exemplar_reviews", "write_loadings_csv"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+# No layer is imported with this module: a stage binds its layers' exports
+# (``lexifactor._EXPORTS``) when it starts (:func:`_bind`), so a command
+# loads only the layers it runs. A name already set here, such as a wrapper
+# put in place before the stage runs, is kept and called. Read as an
+# attribute of this module, each exported name imports its layer (PEP 562).
 
 
 def _bind(*layers: str) -> None:
-    """Import ``layers`` and bind their names here, except those already bound."""
+    """Import ``layers`` and bind their exports here, except names already bound."""
     namespace = globals()
     for layer in layers:
         module = import_module(f".{layer}", __package__)
-        for name in _LAYER_NAMES[layer]:
+        for name in _EXPORTS[layer]:
             namespace.setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    if name not in _LAYER_OF:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LAYER_OF[name])
+    _bind(_MODULE_OF[name])
     return globals()[name]
 
 
@@ -107,12 +90,6 @@ _LOG = logging.getLogger("lexifactor")
 
 # ---------------------------------------------------------------------------
 # small shared helpers
-
-
-def _require_artifact(path: Path) -> Path:
-    if not path.is_file():
-        raise StageError(f"missing required artifact: {path}")
-    return path
 
 
 def _require_input(path: str | None, what: str) -> Path:

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from lexifactor import (
     Lexicon,
     ParseError,
     Review,
+    ReviewLemmas,
     StageError,
     ValidationError,
     build_dictionary,
@@ -30,7 +32,10 @@ from lexifactor import (
     lemmatize_token,
     load_stopwords,
     parse_lexical_database,
+    tokenize,
 )
+from lexifactor import lexicon as lexicon_module
+from lexifactor.lexicon import _review_ids
 
 
 class TestParseLexicalDatabase:
@@ -382,9 +387,69 @@ class TestStopwords:
         path.write_text("# comment\nfoo\n\nbar\n", encoding="utf-8")
         assert load_stopwords(path) == {"foo", "bar"}
 
+    def test_capitalized_entries_match_lowercase_tokens(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("The\nAND\n", encoding="utf-8")
+        stopwords = load_stopwords(path)
+        assert stopwords == {"the", "and"}
+        entries = {("the", "noun"): (1,), ("and", "noun"): (2,), ("ticket", "noun"): (3,)}
+        rigged = Lexicon(entries=entries, exceptions={})
+        reviews = _reviews(["The ticket and", "the AND"])
+        assert build_dictionary(reviews, rigged, frozenset()).terms == ("and", "the", "ticket")
+        lemmas = ReviewLemmas()
+        assert build_dictionary(reviews, rigged, stopwords, lemmas).terms == ("ticket",)
+        assert lemmas.vocabulary == ("ticket",)
+
 
 def _reviews(texts):
     return [Review(id=f"r{i}", source="g2", text=text) for i, text in enumerate(texts)]
+
+
+_WORDS = ["ticket", "tickets", "suite", "the", "and", "glasses", "qwzzk", "x"]
+
+
+class TestReviewIds:
+    """The per-review loop of the lexical pass and of a lone ``matrix``
+    stage: each row holds the distinct ids of the review's tokens."""
+
+    @given(
+        texts=st.lists(
+            st.one_of(st.just(""), st.lists(st.sampled_from(_WORDS)).map(" ".join), st.text(max_size=12)),
+            max_size=6,
+        ),
+        ids=st.dictionaries(st.sampled_from(_WORDS), st.integers(-1, 4)),
+        miss=st.one_of(st.none(), st.integers(-1, 4)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_the_distinct_ids_but_miss(self, texts, ids, miss):
+        reviews = _reviews(texts)
+
+        def id_of(token):
+            return ids.get(token, miss)
+
+        indptr, found = _review_ids(reviews, id_of, miss)
+        assert len(indptr) == len(reviews) + 1
+        assert indptr[0] == 0 and indptr[-1] == len(found)
+        for r, review in enumerate(reviews):
+            row = found[indptr[r] : indptr[r + 1]].tolist()
+            assert len(row) == len(set(row))
+            assert set(row) == {id_of(token) for token in tokenize(review.text)} - {miss}
+
+
+class TestLexicalPassWork:
+    def test_each_distinct_non_stopword_token_lemmatized_once(self, lexicon, stopwords, monkeypatch):
+        lemmatized = Counter()
+
+        def counted_lemmatize(lexicon, token):
+            lemmatized[token] += 1
+            return lemmatize_token(lexicon, token)
+
+        monkeypatch.setattr(lexicon_module, "lemmatize_token", counted_lemmatize)
+        reviews = _reviews(["The tickets and the suite", "", "tickets, TICKETS and glasses", "qwzzk the suite"])
+        ReviewLemmas().read(reviews, lexicon, stopwords)
+        tokens = {token for review in reviews for token in tokenize(review.text)}
+        assert tokens & stopwords
+        assert lemmatized == Counter(dict.fromkeys(tokens - stopwords, 1))
 
 
 class TestBuildDictionary:
@@ -428,8 +493,8 @@ class TestBuildDictionary:
         assert "child" in dictionary.terms
 
     def test_stopwords_removed_before_lemmatization(self, lexicon):
-        # with "glasses" stopped, its lemma is no candidate (the token is
-        # still lemmatized, for the lemma ids the matrix reads)
+        # with "glasses" stopped, the token is never lemmatized, so its
+        # lemma is no candidate
         reviews = _reviews(["glasses ticket"])
         dictionary = build_dictionary(reviews, lexicon, frozenset({"glasses"}))
         assert "glass" not in dictionary.terms
