@@ -3,10 +3,11 @@
 The chain is a flow of values: the phi correlation matrix, its
 descending spectrum, a factor count chosen from that spectrum, the
 unweighted least squares model (iterated principal axis on the reduced
-correlation matrix), its Varimax rotation, and the rotated p x k
-loadings pruned into per-factor word lists and refined to the
-strongest factors. No step changes a value an earlier step returned,
-and a step that borrows one restores it before it returns or raises.
+correlation matrix, to within ``tol`` of its fixed point), its Varimax
+rotation (to a stationary point), and the rotated p x k loadings pruned
+into per-factor word lists and refined to the strongest factors. No
+step changes a value an earlier step returned, and a step that borrows
+one restores it before it returns or raises.
 
 The spectrum, the starting communalities and the ULS eigenpairs all
 come from SciPy's LAPACK, through its compiled wrapper module
@@ -82,6 +83,7 @@ class VarimaxResult(NamedTuple):
     sweeps: int
     criterion_history: tuple[float, ...]
     converged: bool
+    stationarity: float
 
 
 # Entries of a p x p array, or (term, term) pairs, that one block holds.
@@ -370,8 +372,10 @@ def extract_uls(
     correlation matrix with current communality estimates on the
     diagonal (LAPACK's ``dsyevr``, see :func:`_top_eigenpairs`),
     rebuilds loadings from them (negative eigenvalues clipped to zero),
-    and updates the communalities from the loading row sums of squares
-    until the largest change drops below ``tol``. Communalities are
+    and updates the communalities from the loading row sums of squares.
+    The model has ``converged`` when the last two steps bound its
+    communalities within ``tol`` of the fixed point, and has not when it
+    stops after ``max_iter`` passes. Communalities are
     clamped at 1; hitting the clamp sets the ``heywood`` flag. Each
     factor is signed so that its largest-magnitude loading is positive.
     Each pass works in the correlation matrix's own memory and puts it
@@ -392,6 +396,7 @@ def extract_uls(
     heywood = False
     converged = False
     iterations = 0
+    previous = math.inf
     for iterations in range(1, max_iter + 1):
         with _lapack_view(C, lower=True) as reduced:
             np.fill_diagonal(reduced, h2)
@@ -405,9 +410,13 @@ def extract_uls(
             new_h2 = np.minimum(new_h2, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
         h2 = new_h2
-        if delta < tol:
+        # Steps shrink by about rate = delta / previous each, so the fixed
+        # point is at most delta / (1 - rate) away; a first step gives no rate.
+        rate = delta / previous
+        if delta == 0.0 or 0.0 < rate < 1.0 and delta < tol * (1.0 - rate):
             converged = True
             break
+        previous = delta
 
     return FactorModel(
         k=k,
@@ -463,40 +472,29 @@ def varimax_criterion(loadings: np.ndarray) -> float:
 
 def varimax_rotate(
     loadings: np.ndarray,
-    tol: float = 1e-10,
-    max_sweeps: int = 100,
+    tol: float = 1e-7,
+    max_sweeps: int = 2000,
 ) -> VarimaxResult:
-    """Orthogonal Varimax rotation by pairwise planar rotations.
+    """Orthogonal Varimax rotation (Kaiser 1958) of the loadings' rows
+    scaled to unit length (Kaiser normalization), X.
 
-    The rows are scaled to unit length (Kaiser normalization) for the
-    sweeps and the final pattern is rebuilt from the accumulated
-    rotation, so ``result.loadings == loadings @ result.rotation`` holds
-    bitwise. Factors are reordered by descending sum of squared rotated
-    loadings and signed so each factor's largest-magnitude loading is
-    positive; both steps are folded into the rotation matrix. The
-    criterion history tracks the working (normalized) matrix and never
-    decreases: a sweep that loses ground to roundoff is undone. The
-    rotation has ``converged`` when a sweep gains less than ``tol``
-    (an undone sweep gained less than nothing), and has not when it
-    stops at ``max_sweeps``; one factor needs no sweep and converges.
-    The loadings are copied to Fortran order, the layout
-    :func:`extract_uls` returns, so the row norms and the products with
-    the rotation, whose sums follow the layout, give the same bits for
-    either layout of the same values.
+    One row-cyclic sweep of planar rotations (:func:`_pairwise_sweep`)
+    leaves the starts where the whole-matrix iteration alone stalls.
+    Then each step takes Z = X T and B = X^T (Z^3 - Z diag(column mean
+    of Z^2)), and sets T to U V^T from the SVD of B. The rotation has
+    ``converged`` when ``stationarity``, ||skew(T^T B)||_F / p, is below
+    ``tol`` (Jennrich 2001), and has not after ``max_sweeps`` steps or
+    when a step would lose ground to roundoff; that step is undone.
+    ``sweeps`` counts the steps kept, and ``criterion_history`` holds the
+    criterion of X T before and after each, all summed over a C-ordered
+    X T. One factor needs no step.
 
-    Each sweep visits the pairs in row-cyclic order (0, 1), (0, 2), ...,
-    (k-2, k-1), one level of :func:`_pair_levels` at a time. A level
-    holds disjoint pairs, and each pair runs after every earlier pair
-    that shares a factor with it. Rotating pair (f, g) reads and writes
-    only columns f and g of W and T, so a level done in one batch gives
-    exactly the bits of the sequential order. Each pair also keeps its
-    own arithmetic: the same elementwise ``u`` and ``v``, pairwise sums
-    along one contiguous row of a factor-major copy, the angle from
-    ``math``, and the same p x 2 @ 2 x 2 BLAS product, now one item of
-    a stacked matmul. Two shortcuts that look equivalent change the
-    last bit: the elementwise update ``x*c + y*s`` rounds differently
-    from the matmul, and sums down a column of a p x k array, or along
-    a transposed view, add in another order.
+    Factors are reordered by descending sum of squared loadings and
+    signed so each one's largest-magnitude loading is positive, both
+    folded into the rotation, so ``result.loadings == loadings @
+    result.rotation`` holds bitwise. The loadings are copied to Fortran
+    order, the layout :func:`extract_uls` returns, so the row norms and
+    the products with the rotation give the same bits for either layout.
     """
     L0 = np.array(loadings, dtype=np.float64, order="F")
     if L0.ndim != 2:
@@ -509,94 +507,59 @@ def varimax_rotate(
 
     norms = np.sqrt(np.sum(L0 * L0, axis=1))
     norms[norms == 0.0] = 1.0
-    W = L0 / norms[:, None]
+    X = L0 / norms[:, None]
 
-    # Factor-major working copies: row j is column j of W or T.
-    Wt, Tt = W.T.copy(), np.eye(k)
-    levels = _pair_levels(k)
-    # u, v, u*u - v*v, u*v and a temporary, one row per pair, reused by
-    # every level; writing into them spares an allocation per operation.
-    buffers = np.empty((5, k // 2, p))
-    history = [varimax_criterion(W)]
-    sweeps = 0
-    converged = k == 1
-    for _ in range(max_sweeps if k > 1 else 0):
-        Wt_before, Tt_before = Wt.copy(), Tt.copy()
-        for pairs in levels:
-            x, y = Wt[pairs[:, 0]], Wt[pairs[:, 1]]
-            u, v, uu_vv, uv, tmp = buffers[:, : len(pairs)]
-            np.subtract(np.multiply(x, x, out=u), np.multiply(y, y, out=tmp), out=u)
-            np.multiply(np.multiply(2.0, x, out=v), y, out=v)
-            np.subtract(np.multiply(u, u, out=uu_vv), np.multiply(v, v, out=tmp), out=uu_vv)
-            np.multiply(u, v, out=uv)
-            sums = buffers[:4, : len(pairs)].sum(axis=2).tolist()  # A, B, C, D / 2
-            turns, rotations = [], []
-            for i, (A, B, C, half_D) in enumerate(zip(*sums)):
-                phi = 0.25 * math.atan2(2.0 * half_D - 2.0 * A * B / p, C - (A * A - B * B) / p)
-                if abs(phi) < 1e-15:
-                    continue
-                c, s = math.cos(phi), math.sin(phi)
-                turns.append(i)
-                rotations += (c, -s, s, c)
-            if turns:
-                R = np.array(rotations).reshape(-1, 2, 2)
-                _rotate_pairs(Wt, pairs[turns], R)
-                _rotate_pairs(Tt, pairs[turns], R)
-        value = varimax_criterion(Wt.T.copy())  # C order: column sums add row by row
-        if value < history[-1]:
-            Wt, Tt = Wt_before, Tt_before  # roundoff regression: undo the sweep
-            converged = True
+    T = np.eye(k)
+    Z = X @ T
+    history = [varimax_criterion(Z)]
+    candidate = _pairwise_sweep(X) if k > 1 else None
+    steps = 0
+    while True:
+        if candidate is not None:
+            steps += 1
+            Z_next = X @ candidate
+            value = varimax_criterion(Z_next)
+            if value >= history[-1]:
+                T, Z = candidate, Z_next
+                history.append(value)
+            elif steps > 1:
+                break  # roundoff loss: undo the step; the next would repeat it
+        B = X.T @ (Z * Z * Z - Z * np.mean(Z * Z, axis=0))
+        M = T.T @ B
+        stationarity = float(np.linalg.norm(M - M.T)) / (2 * p)
+        if stationarity < tol or steps == max_sweeps:
             break
-        sweeps += 1
-        gain = value - history[-1]
-        history.append(value)
-        if gain < tol:
-            converged = True
-            break
+        U, _, Vt = np.linalg.svd(B)
+        candidate = U @ Vt
 
-    # Order factors by explained sum of squares, then fix signs; fold both
-    # into T so the rotated pattern is exactly loadings @ T.
-    T = Tt.T.copy()
     rotated = L0 @ T
     ssq = np.sum(rotated * rotated, axis=0)
     order = sorted(range(k), key=lambda j: (-ssq[j], j))
     T = T[:, order] * _anchor_signs(rotated[:, order])
     rotated = L0 @ T
-    return VarimaxResult(
-        loadings=rotated,
-        rotation=T,
-        sweeps=sweeps,
-        criterion_history=tuple(history),
-        converged=converged,
-    )
+    return VarimaxResult(rotated, T, len(history) - 1, tuple(history), stationarity < tol, stationarity)
 
 
-def _pair_levels(k: int) -> list[np.ndarray]:
-    """The row-cyclic factor pairs, grouped into levels of disjoint pairs.
-
-    Each pair goes one level after the last earlier pair that shares a
-    factor with it. Each level is an n x 2 array of factor indices.
-    """
-    levels: list[list[tuple[int, int]]] = []
-    last = [-1] * k  # level of the latest pair that touched each factor
+def _pairwise_sweep(X: np.ndarray) -> np.ndarray:
+    """The rotation of one row-cyclic sweep of planar rotations over the
+    pairs (0, 1), (0, 2), ..., (k-2, k-1) of the columns of ``X``, each
+    by the angle that maximizes the pair's Varimax criterion."""
+    p, k = X.shape
+    W, T = np.array(X, order="C"), np.eye(k)
     for f in range(k - 1):
         for g in range(f + 1, k):
-            level = max(last[f], last[g]) + 1
-            if level == len(levels):
-                levels.append([])
-            levels[level].append((f, g))
-            last[f] = last[g] = level
-    return [np.array(pairs) for pairs in levels]
-
-
-def _rotate_pairs(M: np.ndarray, pairs: np.ndarray, R: np.ndarray) -> None:
-    """Rotate the two rows ``pairs[i]`` of the factor-major ``M`` by the
-    2 x 2 ``R[i]``, in place: one stacked matmul whose items are the
-    C-contiguous m x 2 blocks ``M[pairs[i]].T``, m being the row length."""
-    XY = M[pairs]
-    blocks = np.empty((len(pairs), M.shape[1], 2))
-    blocks[:, :, 0], blocks[:, :, 1] = XY[:, 0], XY[:, 1]
-    M[pairs] = (blocks @ R).transpose(0, 2, 1)
+            x, y = W[:, f], W[:, g]
+            u, v = x * x - y * y, 2.0 * x * y
+            A, B = u.sum(), v.sum()
+            C, D = np.sum(u * u - v * v), 2.0 * np.sum(u * v)
+            phi = 0.25 * math.atan2(D - 2.0 * A * B / p, C - (A * A - B * B) / p)
+            if abs(phi) < 1e-15:
+                continue
+            c, s = math.cos(phi), math.sin(phi)
+            R = np.array([[c, -s], [s, c]])
+            W[:, [f, g]] = W[:, [f, g]] @ R
+            T[:, [f, g]] = T[:, [f, g]] @ R
+    return T
 
 
 def prune_loadings(rotated: np.ndarray, threshold: float, terms: Sequence[str]) -> LoadingTable:

@@ -252,14 +252,11 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
 
 def _solver_summary(model: FactorModel, rotation: VarimaxResult) -> str:
     """What ULS and Varimax did: iterations, convergence, Heywood cases,
-    sweeps and the last criterion gain."""
+    Varimax steps and the stationarity measure they ended at."""
     uls = f"ULS {model.n_iter} iterations, {'converged' if model.converged else 'not converged'}"
     heywood = "Heywood case" if model.heywood else "no Heywood case"
-    varimax = f"Varimax {rotation.sweeps} sweeps"
-    history = rotation.criterion_history
-    if len(history) > 1:
-        varimax += f", last gain {history[-1] - history[-2]:.3g}"
-    varimax += ", converged" if rotation.converged else ", stopped at the sweep cap"
+    varimax = f"Varimax {rotation.sweeps} steps, stationarity {rotation.stationarity:.3g}, "
+    varimax += "converged" if rotation.converged else "not converged"
     return f"{uls}, {heywood}; {varimax}"
 
 

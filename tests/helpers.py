@@ -393,29 +393,41 @@ def reference_build_matrix(reviews, dictionary, lexicon, stopwords) -> DocTermMa
 
 def reference_varimax_rotate(
     loadings: np.ndarray,
-    tol: float = 1e-10,
-    max_sweeps: int = 100,
+    tol: float = 1e-7,
+    max_sweeps: int = 2000,
 ) -> VarimaxResult:
-    """Varimax with one pair rotation at a time, in row-cyclic order.
-
-    The sequential loop that the package's level-batched sweeps must
-    reproduce bit for bit: same sweeps, criterion history, loadings and
-    rotation. Like the package, it works on a Fortran-ordered copy.
+    """Varimax as a plain loop whose bits the package must give: one
+    row-cyclic sweep of pair rotations, one pair at a time, then
+    T <- U V^T from the SVD of B = X^T (Z^3 - Z diag(mean Z^2)), Z = X T,
+    while ||skew(T^T B)||_F / p is at least ``tol`` and fewer than
+    ``max_sweeps`` steps were tried. A step that lowers the criterion
+    is undone; after the sweep the iteration goes on from the identity,
+    after an iteration step it stops. Each criterion, gradient and
+    stationarity value is recomputed from T. Like the package, it works
+    on a Fortran-ordered copy.
     """
     L0 = np.array(loadings, dtype=np.float64, order="F")
     p, k = L0.shape
     norms = np.sqrt(np.sum(L0 * L0, axis=1))
     norms[norms == 0.0] = 1.0
-    W = L0 / norms[:, None]
+    X = L0 / norms[:, None]
+
+    def criterion(T):
+        return varimax_criterion(X @ T)
+
+    def gradient(T):
+        Z = X @ T
+        return X.T @ (Z * Z * Z - Z * np.mean(Z * Z, axis=0))
+
+    def stationarity(T):
+        M = T.T @ gradient(T)
+        return float(np.linalg.norm(M - M.T)) / (2 * p)
 
     T = np.eye(k)
-    history = [varimax_criterion(W)]
-    # The sweeps work in C order, whose column sums add row by row as the
-    # package's criterion of a sweep does.
-    W = np.ascontiguousarray(W)
-    sweeps = 0
-    for _ in range(max_sweeps if k > 1 else 0):
-        W_before, T_before = W.copy(), T.copy()
+    history = [criterion(T)]
+    steps = 0
+    if k > 1:
+        W, S = np.array(X, order="C"), np.eye(k)
         for f in range(k - 1):
             for g in range(f + 1, k):
                 x, y = W[:, f], W[:, g]
@@ -431,16 +443,19 @@ def reference_varimax_rotate(
                 c, s = math.cos(phi), math.sin(phi)
                 R = np.array([[c, -s], [s, c]])
                 W[:, [f, g]] = W[:, [f, g]] @ R
-                T[:, [f, g]] = T[:, [f, g]] @ R
-        value = varimax_criterion(W)
-        if value < history[-1]:
-            W, T = W_before, T_before
+                S[:, [f, g]] = S[:, [f, g]] @ R
+        steps = 1
+        if criterion(S) >= history[-1]:
+            T = S
+            history.append(criterion(T))
+    while stationarity(T) >= tol and steps < max_sweeps:
+        U, _, Vt = np.linalg.svd(gradient(T))
+        steps += 1
+        if criterion(U @ Vt) < history[-1]:
             break
-        sweeps += 1
-        gain = value - history[-1]
-        history.append(value)
-        if gain < tol:
-            break
+        T = U @ Vt
+        history.append(criterion(T))
+    final = stationarity(T)
 
     rotated = L0 @ T
     ssq = np.sum(rotated * rotated, axis=0)
@@ -457,9 +472,10 @@ def reference_varimax_rotate(
     return VarimaxResult(
         loadings=rotated,
         rotation=T,
-        sweeps=sweeps,
+        sweeps=len(history) - 1,
         criterion_history=tuple(history),
-        converged=k == 1 or sweeps < max_sweeps or history[-1] - history[-2] < tol,
+        converged=final < tol,
+        stationarity=final,
     )
 
 
@@ -475,6 +491,7 @@ def reference_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 1000)
     heywood = False
     converged = False
     iterations = 0
+    previous = math.inf
     for iterations in range(1, max_iter + 1):
         np.fill_diagonal(reduced, h2)
         eigenvalues, eigenvectors = np.linalg.eigh(reduced)
@@ -487,9 +504,11 @@ def reference_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 1000)
             new_h2 = np.minimum(new_h2, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
         h2 = new_h2
-        if delta < tol:
+        rate = delta / previous
+        if delta == 0.0 or 0.0 < rate < 1.0 and delta < tol * (1.0 - rate):
             converged = True
             break
+        previous = delta
     return FactorModel(
         k=k,
         loadings=reference_anchor_signs(loadings),
@@ -522,6 +541,7 @@ def out_of_place_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 10
     heywood = False
     converged = False
     iterations = 0
+    previous = math.inf
     for iterations in range(1, max_iter + 1):
         reduced[...] = C
         np.fill_diagonal(reduced, h2)
@@ -534,9 +554,11 @@ def out_of_place_extract_uls(corr, k: int, tol: float = 1e-6, max_iter: int = 10
             new_h2 = np.minimum(new_h2, 1.0)
         delta = float(np.max(np.abs(new_h2 - h2)))
         h2 = new_h2
-        if delta < tol:
+        rate = delta / previous
+        if delta == 0.0 or 0.0 < rate < 1.0 and delta < tol * (1.0 - rate):
             converged = True
             break
+        previous = delta
     return FactorModel(
         k=k,
         loadings=reference_anchor_signs(loadings),

@@ -44,7 +44,6 @@ from lexifactor.efa import (
     _anchor_signs,
     _initial_communalities,
     _lapack,
-    _pair_levels,
     _top_eigenpairs,
     uls_objective,
 )
@@ -372,6 +371,24 @@ class TestUlsMatchesFullEighReference:
         assert_same_model(model, reference_extract_uls(corr, 3, max_iter=2))
 
 
+class TestUlsStopsNearItsFixedPoint:
+    """``converged`` bounds the distance to the fixed point, not the last
+    step: on the first three models a step below 1e-6 still leaves the
+    communalities 1.1e-6 to 1.3e-5 from it."""
+
+    @pytest.mark.parametrize(
+        "seed, p, m, k, tol",
+        [(0, 6, 2, 2, 1e-6), (1, 12, 3, 3, 1e-6), (10, 20, 3, 5, 1e-6), (2, 40, 5, 5, 1e-6),
+         (4, 120, 8, 8, 1e-6), (5, 30, 4, 6, 1e-6), (0, 6, 2, 2, 1e-4)],
+    )
+    def test_within_tol_of_a_tight_solve(self, seed, p, m, k, tol):
+        corr = factor_model_corr(np.random.default_rng(seed), p, m)
+        model = extract_uls(corr, k, tol=tol)
+        tight = extract_uls(corr, k, tol=1e-13, max_iter=100_000)
+        assert model.converged and tight.converged
+        assert np.max(np.abs(model.communalities - tight.communalities)) < tol
+
+
 def inverse_smc(C: np.ndarray) -> np.ndarray:
     """1 - 1/diag(inv(C)), clipped to [0, 1] as the SMC start clips it."""
     with warnings.catch_warnings():
@@ -640,6 +657,27 @@ class TestUlsMatchesOutOfPlaceLoop:
             assert getattr(model, field).tobytes() == getattr(reference, field).tobytes(), field
 
 
+def stationarity(loadings: np.ndarray) -> float:
+    """Jennrich's stationarity measure of a rotated pattern: with its rows
+    scaled to unit length as L and G = L^3 - L diag(column mean of L^2),
+    the Frobenius norm of skew(L^T G) over the number of rows."""
+    norms = np.linalg.norm(loadings, axis=1, keepdims=True)
+    L = loadings / np.where(norms == 0.0, 1.0, norms)
+    M = L.T @ (L**3 - L * (L**2).mean(axis=0))
+    return float(np.linalg.norm(M - M.T)) / (2 * len(L))
+
+
+def criterion_4_draw(index: int) -> np.ndarray:
+    """The loadings that criterion 4 of the acceptance suite rotates
+    ``index``-th (counting from 0)."""
+    rng = np.random.default_rng(404)
+    for _ in range(index + 1):
+        p = int(rng.integers(2, 51))
+        k = int(rng.integers(1, min(10, p) + 1))
+        loadings = rng.normal(size=(p, k)) * rng.uniform(0.2, 1.0)
+    return loadings
+
+
 def grid_best_criterion(W: np.ndarray, n_angles: int = 10001) -> float:
     """Best pairwise-rotation criterion for two factors, by brute force."""
     x, y = W[:, 0], W[:, 1]
@@ -666,8 +704,12 @@ class TestVarimax:
 
     def test_matches_angle_grid_search(self):
         rng = np.random.default_rng(23)
-        for _ in range(6):
-            loadings = rng.normal(size=(int(rng.integers(3, 12)), 2))
+        draws = [rng.normal(size=(int(rng.integers(3, 12)), 2)) for _ in range(6)]
+        draws += [rng.normal(size=(2, 2)) for _ in range(6)]
+        # Criterion 4's 2 x 2 draw 624, on which the whole-matrix iteration
+        # alone alternates between two rotations short of the best one.
+        draws.append(criterion_4_draw(624))
+        for loadings in draws:
             # Unit rows: the criterion history tracks the normalized matrix.
             loadings /= np.linalg.norm(loadings, axis=1, keepdims=True)
             result = varimax_rotate(loadings)
@@ -702,12 +744,13 @@ class TestVarimax:
         assert result.sweeps >= 1
 
     def test_converged_flag(self):
-        converging = varimax_rotate(np.random.default_rng(37).normal(size=(20, 5)))
-        assert converging.converged and converging.sweeps < 100
-        assert converging.criterion_history[-1] - converging.criterion_history[-2] < 1e-10
-        # these loadings need 255 sweeps to gain less than 1e-10
-        capped = varimax_rotate(np.random.default_rng(12).normal(size=(30, 8)) * 0.4)
-        assert not capped.converged and capped.sweeps == 100
+        loadings = np.random.default_rng(12).normal(size=(30, 8)) * 0.4
+        converging = varimax_rotate(loadings)
+        assert converging.converged and converging.sweeps < 2000
+        assert stationarity(converging.loadings) < 1e-7 + 1e-12
+        capped = varimax_rotate(loadings, max_sweeps=5)
+        assert not capped.converged and capped.sweeps == 5
+        assert capped.stationarity >= 1e-7 and stationarity(capped.loadings) > 1e-7
         single = varimax_rotate(np.array([[0.5], [-0.7]]))
         assert single.converged and single.sweeps == 0
 
@@ -754,6 +797,16 @@ class TestVarimax:
             np.abs((result.loadings**2).sum(axis=1) - (loadings**2).sum(axis=1))
         ) <= 1e-10
         assert np.all(np.diff(np.array(result.criterion_history)) >= 0.0)
+        if result.converged:
+            assert stationarity(result.loadings) < 1e-7 + 1e-12
+
+    def test_history_sums_one_layout(self):
+        # The first value is summed over the normalized loadings as every
+        # later one is over the rotated ones: a C-ordered array.
+        loadings = np.asfortranarray(np.random.default_rng(53).normal(size=(300, 12)))
+        normalized = loadings / np.linalg.norm(loadings, axis=1, keepdims=True)
+        result = varimax_rotate(loadings, max_sweeps=1)
+        assert result.criterion_history[0] == varimax_criterion(np.ascontiguousarray(normalized))
 
     def test_memory_layout_does_not_change_the_bits(self):
         # Row norms and the products with the rotation sum in the order of
@@ -808,13 +861,15 @@ class TestAnchorSigns:
 def assert_same_rotation(result, reference):
     assert result.sweeps == reference.sweeps
     assert result.converged == reference.converged
+    assert result.stationarity == reference.stationarity
     assert result.criterion_history == reference.criterion_history
     assert result.loadings.tobytes() == reference.loadings.tobytes()
     assert result.rotation.tobytes() == reference.rotation.tobytes()
 
 
 class TestVarimaxMatchesSequentialReference:
-    """Level-batched sweeps give the bits of one pair rotation at a time."""
+    """The rotation gives the bits of the plain loop that rotates one pair
+    at a time in its opening sweep and recomputes every value from T."""
 
     @given(varimax_cases())
     @settings(max_examples=300, deadline=None)
@@ -833,30 +888,14 @@ class TestVarimaxMatchesSequentialReference:
 
     @pytest.mark.parametrize("k, seed", [(10, 9), (12, 5)])
     def test_undone_sweep(self, k, seed):
-        # Two rows and many factors: the fourth sweep lowers the criterion
-        # and is undone while the gain is still far above tol.
+        # Two rows and more factors than rows: the iteration stalls short of
+        # a stationary point, its next step loses ground to roundoff and is
+        # undone, and the rotation stops there, not converged.
         loadings = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, k))
         result = varimax_rotate(loadings, max_sweeps=40)
         assert_same_rotation(result, reference_varimax_rotate(loadings, max_sweeps=40))
-        history = result.criterion_history
-        assert result.sweeps == 3 and history[-1] - history[-2] > 1e-8
-        # no sweep can raise the criterion any more: that is convergence
-        assert result.converged
-
-    @pytest.mark.parametrize("k, n_levels", [(1, 0), (2, 1), (3, 3), (4, 5), (32, 61), (40, 77)])
-    def test_schedule(self, k, n_levels):
-        levels = [[tuple(pair) for pair in level.tolist()] for level in _pair_levels(k)]
-        assert len(levels) == n_levels
-        cyclic = [(f, g) for f in range(k - 1) for g in range(f + 1, k)]
-        assert sorted(pair for level in levels for pair in level) == cyclic
-        level_of = {pair: i for i, level in enumerate(levels) for pair in level}
-        for level in levels:
-            factors = [factor for pair in level for factor in pair]
-            assert len(set(factors)) == len(factors)
-        for i, pair in enumerate(cyclic):
-            for earlier in cyclic[:i]:
-                if set(pair) & set(earlier):
-                    assert level_of[earlier] < level_of[pair]
+        assert result.sweeps < 39 and result.stationarity > 1e-3
+        assert not result.converged
 
 
 class TestPruneLoadings:

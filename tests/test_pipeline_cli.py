@@ -950,7 +950,7 @@ class TestSolverLog:
         assert model["converged"] and not model["heywood"] and model["rotation_converged"]
         assert line.startswith(
             f"efa: ULS {model['n_iter']} iterations, converged, no Heywood case; "
-            f"Varimax {model['rotation_sweeps']} sweeps, last gain "
+            f"Varimax {model['rotation_sweeps']} steps, stationarity "
         )
         assert line.endswith(", converged")
 
@@ -959,9 +959,10 @@ class TestSolverLog:
         out.mkdir()
         dense = random_binary(np.random.default_rng(5), 300, 30)
         write_matrix_market(from_dense(dense), out / "filtered.mtx")
-        # These loadings need 255 sweeps; after 100 the gain is still 3.2e-9.
+        # After five steps these loadings' stationarity measure is 3.3e-3;
+        # unlimited, they converge after 796.
         capped = np.random.default_rng(12).normal(size=(30, 8)) * 0.4
-        extract = pipeline_module.extract_uls
+        extract, rotate = pipeline_module.extract_uls, pipeline_module.varimax_rotate
 
         def extract_then_swap(corr, k):
             model = extract(corr, k)
@@ -969,17 +970,18 @@ class TestSolverLog:
             return model
 
         monkeypatch.setattr(pipeline_module, "extract_uls", extract_then_swap)
+        monkeypatch.setattr(pipeline_module, "varimax_rotate", lambda loadings: rotate(loadings, max_sweeps=5))
         config = build_config(overrides={"output_dir": str(out), "factors": "fixed:8"})
         with caplog.at_level(logging.INFO, logger="lexifactor"):
             pipeline_module.stage_efa(config, pipeline_module.Handoff())
         (line,) = solver_lines(caplog)
         assert re.fullmatch(
             r"efa: ULS \d+ iterations, (not )?converged, (no )?Heywood case; "
-            r"Varimax 100 sweeps, last gain 3\.2\de-09, stopped at the sweep cap",
+            r"Varimax 5 steps, stationarity 0\.00332, not converged",
             line,
         )
         model = json.loads((out / "model.json").read_text(encoding="utf-8"))
-        assert model["rotation_sweeps"] == 100 and not model["rotation_converged"]
+        assert model["rotation_sweeps"] == 5 and not model["rotation_converged"]
 
 
 class TestDirectApi:
