@@ -156,6 +156,7 @@ def table_from_payload(payload: dict, path: str | Path) -> LoadingTable:
             )
             for record in payload["factors"]
         )
+        _strings([term for factor in factors for term, _ in factor.entries])
         return LoadingTable(factors=factors, threshold=float(payload["threshold"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed loading table payload: {exc}", path=str(path)) from exc

@@ -6,28 +6,29 @@ a ``data.<pos>`` file holding the synsets themselves (with their pointer
 lists, where the ``!`` symbol marks antonymy), and a ``<pos>.exc`` file
 of irregular inflections. Only nouns and adjectives participate.
 
-One lexical pass, :meth:`ReviewLemmas.read`, tokenizes each review once
-and reads each token through a token→lemma-id map that holds every
-stopword at -1 (no lemma) and lemmatizes any other token once, on its
-first lookup. It keeps each review's distinct lemmas as CSR arrays of
-lemma ids, which both the dictionary's document frequencies and the
-document-term matrix count. Within one ``pipeline`` run the dictionary
-pass hands these arrays to the matrix stage, so the run tokenizes the
-corpus once and parses the database once. Each term of the dictionary
-also records its forms, the distinct tokens that the pass mapped to
-it, so that a ``matrix`` stage run on its own finds each review's terms
-by token lookup in the same per-review loop, without the database.
+One lexical pass tokenizes each review once and reads each token
+through a token→lemma-id map that holds every stopword at -1 (no lemma)
+and lemmatizes any other token once, on its first lookup. The map holds
+the lexicon without a reference cycle, so the parsed lexicon is freed as
+soon as its caller drops it. The pass keeps each review's distinct
+lemmas as CSR arrays of lemma ids (:class:`ReviewLemmas`), which both
+the dictionary's document frequencies and the document-term matrix
+count. Within one ``pipeline`` run the dictionary pass hands these
+arrays to the matrix stage, so the run tokenizes the corpus once and
+parses the database once. Each term of the dictionary also records its
+forms, the distinct tokens that the pass mapped to it, so that a
+``matrix`` stage run on its own finds each review's terms by token
+lookup in the same per-review loop, without the database.
 
 The parsed lexicon is compact: each ``(lemma, pos)`` entry holds a
-tuple of int synset offsets, its part of speech implied by the key, and
-:meth:`Lexicon.senses` builds the ``(pos, offset)`` sense ids only for
-the lemmas that ask, which are the dictionary's candidates. A
+tuple of int synset offsets, its part of speech implied by the key. A
 75,000-entry lexicon holds about 20 MB this way.
 
 Dictionary construction is a greedy pass over candidate lemmas ranked
 by document frequency: a candidate is admitted unless it shares a sense
 with an already-admitted term (a synonym) or one of its senses is
-antonym-paired with an admitted sense.
+antonym-paired with an admitted sense: one test against a set of taken
+offsets per part of speech.
 """
 
 from __future__ import annotations
@@ -192,8 +193,6 @@ def _parse_data(path: Path, pos: str) -> tuple[set[int], list[tuple[SenseId, Sen
                             line=lineno,
                         )
                     pairs.append(((pos, offset), (target_pos, target_offset)))
-        except ParseError:
-            raise
         except (IndexError, ValueError) as exc:
             raise ParseError(f"malformed data line: {exc}", path=str(path), line=lineno) from exc
         if _POS_FROM_TAG.get(ss_type) != pos:
@@ -310,30 +309,15 @@ def lemmatize_token(lexicon: Lexicon, token: Token) -> str | None:
 class ReviewLemmas:
     """Each review's distinct lemmas, from one lexical pass, as CSR arrays.
 
-    The ``r``-th review read holds the lemmas ``vocabulary[i]`` for ``i``
+    The ``r``-th review holds the lemmas ``vocabulary[i]`` for ``i``
     in ``ids[indptr[r]:indptr[r + 1]]``: the lemma of every token it
     contains that is not a stopword. A new instance holds no reviews;
-    :meth:`read` fills it.
+    :func:`build_dictionary` fills one.
     """
 
     vocabulary: tuple[str, ...] = ()
     indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
     ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def read(
-        self,
-        reviews: Iterable[Review],
-        lexicon: Lexicon,
-        stopwords: frozenset[str] = frozenset(),
-    ) -> "ReviewLemmas":
-        """Replace the contents with those of ``reviews`` and return self.
-
-        Each review is tokenized once. Each token is read through a
-        token→lemma-id map, which ends with the pass, holds every stopword
-        at -1 and lemmatizes any other token once, on its first lookup.
-        """
-        _lexical_pass(self, reviews, lexicon, stopwords)
-        return self
 
 
 def _review_ids(
@@ -351,22 +335,29 @@ def _review_ids(
     return np.array(indptr, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
+class _TokenMap(dict):
+    """Token → lemma id of one lexical pass, -1 for no lemma. A token not
+    yet mapped is lemmatized on its first lookup, and its lemma gets the
+    next id of ``vocabulary`` (lemma → id) unless it has one."""
+
+    __slots__ = ("lexicon", "vocabulary")
+
+    def __missing__(self, token: Token) -> int:
+        lemma = lemmatize_token(self.lexicon, token)
+        vocabulary = self.vocabulary
+        self[token] = lemma_id = -1 if lemma is None else vocabulary.setdefault(lemma, len(vocabulary))
+        return lemma_id
+
+
 def _lexical_pass(
     lemmas: ReviewLemmas, reviews: Iterable[Review], lexicon: Lexicon, stopwords: frozenset[str]
 ) -> dict[Token, int]:
-    """Fill ``lemmas`` as :meth:`ReviewLemmas.read` does; return its token
-    map: each stopword and distinct token of ``reviews`` to a lemma id or -1."""
-    vocabulary: dict[str, int] = {}
-
-    class LemmaIds(dict):
-        def __missing__(self, token: Token) -> int:
-            lemma = lemmatize_token(lexicon, token)
-            self[token] = lemma_id = -1 if lemma is None else vocabulary.setdefault(lemma, len(vocabulary))
-            return lemma_id
-
-    lemma_of = LemmaIds.fromkeys(stopwords, -1)
+    """Fill ``lemmas`` from ``reviews`` and return the pass's token map:
+    each stopword and distinct token of ``reviews`` to a lemma id or -1."""
+    lemma_of = _TokenMap.fromkeys(stopwords, -1)
+    lemma_of.lexicon, lemma_of.vocabulary = lexicon, {}
     lemmas.indptr, lemmas.ids = _review_ids(reviews, lemma_of.__getitem__, -1)
-    lemmas.vocabulary = tuple(vocabulary)
+    lemmas.vocabulary = tuple(lemma_of.vocabulary)
     return lemma_of
 
 
@@ -381,13 +372,12 @@ def build_dictionary(
     A candidate is the lemma of a non-stopword token; its document
     frequency counts the reviews holding such a token. Candidates are
     ranked by document frequency, ties broken alphabetically. A
-    candidate claims its noun senses when it has a noun entry, otherwise
-    its adjective senses. It is rejected when any claimed sense is
-    already claimed (synonym of an admitted term) or is antonym-paired
-    with a claimed sense.
+    candidate takes its noun senses when it has a noun entry, otherwise
+    its adjective senses. It is rejected when any of them is a sense of
+    an admitted term (a synonym) or is antonym-paired with one.
 
-    The lexical pass over ``reviews`` fills ``lemmas`` (see
-    :meth:`ReviewLemmas.read`), ready for
+    The lexical pass over ``reviews``, which tokenizes each review once
+    and lemmatizes each distinct token once, fills ``lemmas``, ready for
     :func:`lexifactor.matrix.build_matrix`, so that a caller building
     the matrix next neither tokenizes nor lemmatizes again. Each term's
     provenance lists its ``forms``: the sorted distinct non-stopword
@@ -413,23 +403,25 @@ def build_dictionary(
     alphabetical = np.array(sorted(range(len(vocabulary)), key=vocabulary.__getitem__), dtype=np.int64)
     ranked = alphabetical[np.argsort(-doc_freq[alphabetical], kind="stable")]
 
-    claimed: set[SenseId] = set()
-    blocked: set[SenseId] = set()
+    # Per part of speech, the offsets of the admitted terms' senses and of
+    # the senses antonym-paired with them: a candidate must take none.
+    taken: dict[str, set[int]] = {"noun": set(), "adj": set()}
     terms: list[str] = []
     provenance: dict[str, TermProvenance] = {}
     for lemma_id, freq in zip(ranked.tolist(), doc_freq[ranked].tolist()):
         lemma = vocabulary[lemma_id]
         pos = "noun" if (lemma, "noun") in lexicon.entries else "adj"
-        senses = lexicon.senses(lemma, pos)
-        if not (claimed.isdisjoint(senses) and blocked.isdisjoint(senses)):
+        offsets = lexicon.entries.get((lemma, pos), ())
+        if not taken[pos].isdisjoint(offsets):
             continue
         terms.append(lemma)
-        claimed.update(senses)
-        for sense in senses:
-            blocked.update(lexicon.antonyms.get(sense, ()))
+        taken[pos].update(offsets)
+        for offset in offsets:
+            for antonym_pos, antonym in lexicon.antonyms.get((pos, offset), ()):
+                taken[antonym_pos].add(antonym)
         provenance[lemma] = TermProvenance(
             pos=pos,
-            sense_ids=tuple(sorted(senses)),
+            sense_ids=tuple((pos, offset) for offset in sorted(set(offsets))),
             doc_freq=freq,
             forms=tuple(sorted(forms[form_bounds[lemma_id] : form_bounds[lemma_id + 1]])),
         )

@@ -28,7 +28,7 @@ from .errors import StageError, ValidationError
 # tokenize and lemmatize_token are not called here; they stay importable
 # from this module because bench/traced.py counts their calls through it.
 from .ingest import Review, tokenize  # noqa: F401
-from .lexicon import Lexicon, ReviewLemmas, TermDictionary, _review_ids, lemmatize_token  # noqa: F401
+from .lexicon import Lexicon, ReviewLemmas, TermDictionary, _lexical_pass, _review_ids, lemmatize_token  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -98,16 +98,17 @@ def build_matrix(
     the dictionary was built from, each column then counts exactly the
     reviews its term's ``doc_freq`` counted. Given a :class:`Lexicon`, as
     the corpus-scale acceptance criterion calls it, this runs the
-    lexical pass itself (:meth:`ReviewLemmas.read`) with an empty
-    stopword list, so there a stopword token whose lemma is a term sets
-    that term's column although ``doc_freq`` did not count it.
+    dictionary's lexical pass itself with an empty stopword list, so
+    there a stopword token whose lemma is a term sets that term's column
+    although ``doc_freq`` did not count it.
     """
     if lemmas is None:
         # Each review's terms, as lemma ids over the vocabulary of terms.
         term_of = {form: term for term, forms in enumerate(dictionary.forms) for form in forms}
         lemmas = ReviewLemmas(dictionary.terms, *_review_ids(reviews, term_of.get, None))
     elif isinstance(lemmas, Lexicon):
-        lemmas = ReviewLemmas().read(reviews, lemmas)
+        lexicon, lemmas = lemmas, ReviewLemmas()
+        _lexical_pass(lemmas, reviews, lexicon, frozenset())
     n_docs, n_terms = len(reviews), len(dictionary.terms)
     if len(lemmas.indptr) != n_docs + 1:
         raise ValidationError(f"lemmas of {len(lemmas.indptr) - 1} reviews for {n_docs} reviews")

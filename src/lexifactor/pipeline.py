@@ -187,7 +187,7 @@ def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     lexicon = parse_lexical_database(_require_input(config.lexicon_dir, "lexicon_dir"))
     lemmas = ReviewLemmas()
     dictionary = build_dictionary(reviews, lexicon, load_stopwords(config.stopwords), lemmas)
-    del lexicon  # released before encoding, to keep the run's peak memory down
+    del lexicon  # freed here, by reference counting, to keep the encoding peak down
     with atomic_open(config.out / "dictionary.json") as handle:
         handle.writelines(dictionary.json_lines())
     # The provenance (senses and forms) is freed when this stage returns.
@@ -266,6 +266,11 @@ def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:
     table_path = _require_artifact(config.out / "loading_table.json")
     table = table_from_payload(_read_json(table_path), table_path)
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
+    columns = set(filtered.terms)
+    unknown = [(f.factor, term) for f in table.factors for term, _ in f.entries if term not in columns]
+    if unknown:  # the two artifacts disagree: a stage failure, not bad arguments
+        factor, term = unknown[0]
+        raise StageError(f"{table_path}: factor {factor} term {term!r} is not a column of filtered.mtx")
     exemplars = exemplar_reviews(filtered, table, limit=config.exemplars)
     report = build_report(table, exemplars)
     if config.labels is not None:

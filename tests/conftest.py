@@ -17,3 +17,11 @@ def lexicon(lexicon_dir):
 @pytest.fixture(scope="session")
 def stopwords():
     return load_stopwords()
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kill-sweep",
+        action="store_true",
+        help="run every kill point of tests/test_robustness.py, not only its fixed sample",
+    )

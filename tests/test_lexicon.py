@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -446,7 +448,7 @@ class TestLexicalPassWork:
 
         monkeypatch.setattr(lexicon_module, "lemmatize_token", counted_lemmatize)
         reviews = _reviews(["The tickets and the suite", "", "tickets, TICKETS and glasses", "qwzzk the suite"])
-        ReviewLemmas().read(reviews, lexicon, stopwords)
+        lexicon_module._lexical_pass(ReviewLemmas(), reviews, lexicon, stopwords)
         tokens = {token for review in reviews for token in tokenize(review.text)}
         assert tokens & stopwords
         assert lemmatized == Counter(dict.fromkeys(tokens - stopwords, 1))
@@ -503,6 +505,22 @@ class TestBuildDictionary:
     def test_duplicate_tokens_count_once_per_document(self, lexicon, stopwords):
         dictionary = build_dictionary(_reviews(["ticket ticket ticket"]), lexicon, stopwords)
         assert dictionary.provenance["ticket"].doc_freq == 1
+
+    def test_lexicon_freed_by_reference_counting(self, lexicon_dir, stopwords):
+        # No reference cycle holds the lexicon once the dictionary is
+        # built: with the cyclic collector off, dropping it frees it.
+        lexicon = parse_lexical_database(lexicon_dir)
+        freed = weakref.ref(lexicon)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            reviews = _reviews(["The tickets and the suite", "good glasses"])
+            build_dictionary(reviews, lexicon, stopwords, ReviewLemmas())
+            del lexicon
+            assert freed() is None
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_no_candidates_is_an_error(self, lexicon, stopwords):
         with pytest.raises(StageError, match="^no candidate terms survived dictionary construction$"):

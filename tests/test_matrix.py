@@ -28,7 +28,7 @@ from lexifactor import (
     filter_top_variance,
 )
 from lexifactor.artifacts import TermColumns, TermProvenance
-from lexifactor.lexicon import ReviewLemmas
+from lexifactor.lexicon import ReviewLemmas, _lexical_pass
 from wordnet_fixture import expected_adj_lemmas, expected_noun_lemmas
 
 EMPTY_DICTIONARY = "no candidate terms survived dictionary construction"
@@ -97,7 +97,7 @@ class TestBuildMatrix:
 
     def test_lemmas_must_cover_the_reviews(self, lexicon, small_dictionary):
         reviews = [Review(id="d1", source="g2", text="suite"), Review(id="d2", source="g2", text="")]
-        lemmas = ReviewLemmas().read(reviews, lexicon)
+        lemmas = unfiltered_pass(reviews, lexicon)
         with pytest.raises(ValidationError):
             build_matrix(reviews[:1], small_dictionary, lemmas)
 
@@ -112,6 +112,14 @@ def review_texts(words):
 
 
 _review_text = review_texts(LEXICAL_WORDS)
+
+
+def unfiltered_pass(reviews, lexicon) -> ReviewLemmas:
+    """The lexical pass with no stopwords, as ``build_matrix`` makes it
+    when given the lexicon."""
+    lemmas = ReviewLemmas()
+    _lexical_pass(lemmas, reviews, lexicon, frozenset())
+    return lemmas
 
 
 def lemma_sets(lemmas: ReviewLemmas) -> list[set[str]]:
@@ -147,7 +155,7 @@ class TestLexicalPassEquivalence:
         assert lemma_sets(lemmas) == expected_sets
         assert [len(found) for found in expected_sets] == np.diff(lemmas.indptr).tolist()
         unfiltered_sets = [reference_document_lemmas(lexicon, r, frozenset()) for r in reviews]
-        assert lemma_sets(ReviewLemmas().read(reviews, lexicon)) == unfiltered_sets
+        assert lemma_sets(unfiltered_pass(reviews, lexicon)) == unfiltered_sets
 
         assert build_matrix(reviews, dictionary, lemmas) == reference_build_matrix(
             reviews, expected, lexicon, stopwords

@@ -91,6 +91,12 @@ def _efa_counts_as_list(text):
     return json.dumps(manifest)
 
 
+def _first_table_term_as_list(text):
+    table = json.loads(text)
+    table["factors"][0]["entries"][0][0] = ["suite"]
+    return json.dumps(table)
+
+
 def run_stages(corpus, lexicon_dir, out, extra=()):
     """Run the five stage commands in order; return their exit codes."""
     return [
@@ -777,6 +783,7 @@ class TestExitCodes:
             ("verify", "loading_table.json", lambda text: "[]"),
             ("verify", "manifest.json", _efa_counts_as_list),
             ("matrix", "dictionary.json", lambda text: "[]"),
+            ("report", "loading_table.json", _first_table_term_as_list),
         ],
         ids=[
             "verify-manifest-list",
@@ -784,6 +791,7 @@ class TestExitCodes:
             "verify-table-list",
             "verify-counts-list",
             "matrix-dictionary-list",
+            "report-table-term-list",
         ],
     )
     def test_wrong_shape_json_is_stage_error(
@@ -796,6 +804,22 @@ class TestExitCodes:
         assert run_command(command, corpus, lexicon_dir, out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+
+    def test_table_term_missing_from_matrix_is_stage_error(
+        self, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        # Two artifacts that disagree: a stage failure, not a bad argument.
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / "loading_table.json"
+        table = json.loads(path.read_text(encoding="utf-8"))
+        factor = table["factors"][-1]
+        factor["entries"][0][0] = "suitx"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        capsys.readouterr()
+        assert run_command("report", corpus, lexicon_dir, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: factor {factor['factor']} term 'suitx' is not a column of filtered.mtx\n"
+        )
 
     @pytest.mark.parametrize("command", ["ingest", "dict", "report", "verify"])
     def test_input_that_is_not_utf8_is_stage_error(self, command, corpus, lexicon_dir, tmp_path, capsys):
