@@ -1,7 +1,7 @@
 """The output directory's bookkeeping, in the standard library alone.
 
 This module holds the stage names and the artifacts each stage writes,
-the sorted-key JSON encoder, checksums, the run manifest and
+the sorted-key JSON writer, checksums, the run manifest and
 :func:`cmd_verify`, with the records of every format ``verify`` reads:
 the loading table, the term dictionary and the Matrix Market header and
 size line. The numeric layers import these formats from here, so each
@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from . import STAGES
+from . import STAGES, __version__
 from .atomic import atomic_open
 from .config import PipelineConfig
 from .errors import ParseError, StageError, named_decode_errors
@@ -52,49 +52,11 @@ SenseId = tuple[str, int]
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    """``payload`` as indented JSON with sorted keys, crash-safely, written
-    a piece at a time so the whole text is never held at once."""
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes it, with a final newline, crash-safely."""
     with atomic_open(path) as handle:
-        handle.writelines(_json_chunks(payload))
+        json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False)
         handle.write("\n")
-
-
-def _json_chunks(value: Any, indent: str = "") -> Iterator[str]:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
-    ensure_ascii=False)`` writes it, nested at ``indent``, in pieces; dict
-    keys must be strings. A list of floats, such as a row of loadings, is
-    joined in one call instead of going item by item through the
-    pure-Python encoder that ``json.dumps`` uses when it indents."""
-    if isinstance(value, str):
-        yield encode_basestring(value)
-        return
-    if not isinstance(value, (dict, list, tuple)):
-        yield json.dumps(value)  # a number, a bool or None
-        return
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    if not value:
-        yield opening + closing
-        return
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = ((f"{encode_basestring(key)}: ", value[key]) for key in sorted(value))
-    else:
-        try:
-            text = (",\n" + inner).join(map(float.__repr__, value))
-        except TypeError:  # an item is no float
-            items = (("", item) for item in value)
-        else:
-            # Only the reprs nan, inf and -inf hold an "n".
-            if "n" in text:
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            yield f"{opening}\n{inner}{text}\n{indent}{closing}"
-            return
-    separator = opening + "\n" + inner
-    for prefix, item in items:
-        yield separator + prefix
-        yield from _json_chunks(item, inner)
-        separator = ",\n" + inner
-    yield f"\n{indent}{closing}"
 
 
 def _read_json(path: Path) -> Any:
@@ -300,17 +262,29 @@ def _require_artifact(path: Path) -> Path:
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest at ``path``: an object whose ``stages`` map each
-    recorded stage to its ``artifacts`` and ``counts`` objects."""
+    """The manifest at ``path``: an object of this lexifactor version whose
+    ``stages`` map each recorded stage to its ``artifacts``, keyed by
+    exactly the stage's artifact names, and its ``counts`` objects."""
     manifest = _read_json(path)
+    if isinstance(manifest, dict) and manifest.get("version") != __version__:
+        raise ParseError(
+            f"manifest of lexifactor version {manifest.get('version')!r}, not {__version__}; "
+            "re-run the full pipeline or use a fresh output directory",
+            path=str(path),
+        )
     stages = manifest.get("stages") if isinstance(manifest, dict) else None
     if not isinstance(stages, dict) or not all(
-        isinstance(entry, dict)
+        stage in STAGE_ARTIFACTS
+        and isinstance(entry, dict)
         and isinstance(entry.get("artifacts"), dict)
+        and entry["artifacts"].keys() == set(STAGE_ARTIFACTS[stage])
         and isinstance(entry.get("counts"), dict)
-        for entry in stages.values()
+        for stage, entry in stages.items()
     ):
-        raise ParseError("not a run manifest: stages must map to artifacts and counts objects", path=str(path))
+        raise ParseError(
+            "not a run manifest: each stage must map to its artifact names and a counts object",
+            path=str(path),
+        )
     return manifest
 
 

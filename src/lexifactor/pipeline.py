@@ -184,9 +184,10 @@ def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     reviews = handoff.reviews
     if reviews is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
+    stopwords = load_stopwords(config.stopwords and _require_input(config.stopwords, "stopwords"))
     lexicon = parse_lexical_database(_require_input(config.lexicon_dir, "lexicon_dir"))
     lemmas = ReviewLemmas()
-    dictionary = build_dictionary(reviews, lexicon, load_stopwords(config.stopwords), lemmas)
+    dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
     del lexicon  # freed here, by reference counting, to keep the encoding peak down
     with atomic_open(config.out / "dictionary.json") as handle:
         handle.writelines(dictionary.json_lines())

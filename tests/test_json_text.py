@@ -1,21 +1,21 @@
-"""The JSON emitters write exactly what ``json.dumps`` writes.
+"""The JSON writers write exactly what ``json.dumps`` writes.
 
 ``dictionary.json`` is encoded from a per-term template, one term per
 line: each line must equal ``json.dumps(record, sort_keys=True,
 ensure_ascii=False)``. Every other sorted-key artifact (``model.json``
-among them) is encoded by ``_json_chunks``, which joins float lists in
-one call and which ``_write_json`` writes piece by piece; on any payload
-the text must equal ``json.dumps(payload, indent=2, sort_keys=True,
-ensure_ascii=False)`` (plus a newline for a whole artifact).
+among them) is written by ``_write_json``: on any payload the file must
+hold ``json.dumps(payload, indent=2, sort_keys=True,
+ensure_ascii=False)`` and a newline, in UTF-8.
 """
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexifactor import TermDictionary, TermProvenance
-from lexifactor.artifacts import _json_chunks, _write_json
+from lexifactor.artifacts import _write_json
 
 
 def reference(payload) -> str:
@@ -59,7 +59,7 @@ dictionary_payloads = st.lists(
 ).map(lambda records: {"terms": records})
 
 # Any JSON value with text keys: scalars, text-keyed dicts and lists,
-# with lists of floats (the encoder's one-call path) drawn often.
+# with lists of floats, such as rows of loadings, drawn often.
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), ints, floats, texts),
     lambda children: st.one_of(
@@ -103,21 +103,32 @@ def test_dictionary_text_equals_json_dumps(payload):
     assert TermDictionary.count_json_terms(data) == len(payload["terms"])
 
 
-def json_text(value) -> str:
-    return "".join(_json_chunks(value))
+def written_bytes(directory, payload) -> bytes:
+    path = directory / "payload.json"
+    _write_json(path, payload)
+    return path.read_bytes()
 
 
 @given(value=json_values)
 @settings(max_examples=300, deadline=None)
-def test_json_text_equals_json_dumps(value):
-    assert json_text(value) + "\n" == reference(value)
+def test_json_text_equals_json_dumps(value, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("json")
+    try:
+        expected = reference(value).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot hold
+        with pytest.raises(UnicodeEncodeError):
+            _write_json(directory / "payload.json", value)
+        assert not any(directory.iterdir())  # nor a temporary file
+        return
+    assert written_bytes(directory, value) == expected
 
 
-def test_non_finite_floats_are_spelled_as_json_spells_them():
+def test_non_finite_floats_are_spelled_as_json_spells_them(tmp_path):
     payload = {"eigenvalues": [float("nan"), float("inf"), float("-inf"), -0.0], "k": float("nan")}
-    assert json_text(payload) + "\n" == reference(payload)
-    assert "NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n" in json_text(payload)
-    assert '"k": NaN' in json_text(payload)
+    data = written_bytes(tmp_path, payload)
+    assert data == reference(payload).encode("utf-8")
+    assert b"NaN,\n    Infinity,\n    -Infinity,\n    -0.0\n" in data
+    assert b'"k": NaN' in data
 
 
 def test_written_artifact_equals_json_dumps(tmp_path):

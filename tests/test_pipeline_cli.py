@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import from_dense, random_binary
+import lexifactor
 from lexifactor import (
     StageError,
     build_config,
@@ -673,6 +674,17 @@ class TestExitCodes:
             == 1
         )
 
+    @pytest.mark.parametrize("command", ["pipeline", "dict"])
+    def test_missing_stopwords_is_validation(self, command, corpus, lexicon_dir, tmp_path, capsys):
+        stopwords = tmp_path / "nope.txt"
+        args = ["--input", str(corpus), "--lexicon-dir", str(lexicon_dir), "--output-dir", str(tmp_path / "out"),
+                "--factors", "fixed:2", "--stopwords", str(stopwords)]
+        if command == "dict":
+            assert main(["ingest", *args]) == 0  # ingest reads no stopwords
+        capsys.readouterr()
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err == f"error: stopwords not found: {stopwords}\n"
+
     def test_stage_without_upstream_artifact(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["efa", "--output-dir", str(out)]) == 2
@@ -768,6 +780,52 @@ class TestExitCodes:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         config = build_config(overrides={"output_dir": str(out)})
         assert cmd_verify(config) == [f"dict: manifest says {terms + 1} terms, file lists {terms}"]
+
+    @pytest.mark.parametrize("command", ["verify", "efa"])
+    def test_manifest_of_another_version_is_stage_error(
+        self, command, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["version"] = {}
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        before = artifact_bytes(out)
+        capsys.readouterr()
+        assert run_command(command, corpus, lexicon_dir, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: manifest of lexifactor version {{}}, not {lexifactor.__version__}; "
+            "re-run the full pipeline or use a fresh output directory\n"
+        )
+        assert artifact_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda stages: stages["efa"]["artifacts"].pop("loadings.csv"),
+            lambda stages: stages["efa"]["artifacts"].update({"extra.csv": "0" * 64}),
+            lambda stages: stages.update(bogus={"artifacts": {}, "counts": {}}),
+        ],
+        ids=["artifact-dropped", "artifact-added", "unknown-stage"],
+    )
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_manifest_with_wrong_names_is_stage_error(
+        self, edit, command, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        """A changed ``loadings.csv`` cannot pass ``verify`` by leaving the
+        manifest entry that records it, nor by hiding among made-up names."""
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest["stages"])
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with open(out / "loadings.csv", "a", encoding="utf-8") as handle:
+            handle.write("3,suite,0.5,yes\n")
+        capsys.readouterr()
+        assert run_command(command, corpus, lexicon_dir, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a run manifest: each stage must map to its artifact names and a counts object\n"
+        )
 
     def test_verify_ok_prints_and_returns_zero(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
