@@ -16,10 +16,10 @@ from .errors import ValidationError
 _FORMATS = ("jsonl", "csv")
 
 
-def parse_factor_spec(spec: str) -> tuple[str, int | None]:
-    """Parse a factor-count spec: ``kaiser`` or ``fixed:<k>``."""
+def parse_factor_spec(spec: str) -> int | None:
+    """Parse a factor-count spec: ``fixed:<k>`` gives ``k``, ``kaiser`` None (Kaiser's rule)."""
     if spec == "kaiser":
-        return "kaiser", None
+        return None
     if spec.startswith("fixed:"):
         raw = spec.split(":", 1)[1]
         try:
@@ -28,7 +28,7 @@ def parse_factor_spec(spec: str) -> tuple[str, int | None]:
             raise ValidationError(f"bad factor count in {spec!r}") from None
         if k < 1:
             raise ValidationError(f"factor count must be positive, got {k}")
-        return "fixed", k
+        return k
     raise ValidationError(f"bad factor spec {spec!r} (use 'kaiser' or 'fixed:<k>')")
 
 
@@ -98,6 +98,8 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ValidationError(f"config file is a directory: {path}") from None
     except UnicodeDecodeError:
         raise ValidationError(f"config file is not UTF-8 text: {path}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

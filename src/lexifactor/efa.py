@@ -290,26 +290,19 @@ def _copy_upper_to_lower(a: np.ndarray) -> None:
         block[below] = block.T[below]
 
 
-def select_factor_count(eigenvalues: np.ndarray, method: str = "kaiser", k: int | None = None) -> int:
-    """Number of factors to extract.
-
-    ``"kaiser"`` counts eigenvalues strictly greater than 1;
-    ``"fixed"`` takes ``k`` as given. Either way the count must land in
-    [1, p].
+def select_factor_count(eigenvalues: np.ndarray, k: int | None = None) -> int:
+    """Number of factors to extract: ``k`` when given, which must lie in
+    [1, p], or else Kaiser's count of eigenvalues strictly greater than 1,
+    which must not be zero.
     """
-    p = len(eigenvalues)
-    if method == "kaiser":
-        count = int(np.sum(np.asarray(eigenvalues) > 1.0))
-        if count < 1:
-            raise ValidationError("Kaiser rule selected zero factors (no eigenvalue exceeds 1)")
-        return count
-    if method == "fixed":
-        if k is None:
-            raise ValidationError("fixed factor selection requires k")
-        if not 1 <= k <= p:
-            raise ValidationError(f"factor count {k} outside [1, {p}]")
+    if k is not None:
+        if not 1 <= k <= len(eigenvalues):
+            raise ValidationError(f"factor count {k} outside [1, {len(eigenvalues)}]")
         return k
-    raise ValidationError(f"unknown factor selection method: {method!r}")
+    count = int(np.sum(np.asarray(eigenvalues) > 1.0))
+    if count < 1:
+        raise ValidationError("Kaiser rule selected zero factors (no eigenvalue exceeds 1)")
+    return count
 
 
 def _initial_communalities(corr_values: np.ndarray) -> np.ndarray:

@@ -92,13 +92,21 @@ _LOG = logging.getLogger("lexifactor")
 # small shared helpers
 
 
-def _require_input(path: str | None, what: str) -> Path:
-    if path is None:
-        raise ValidationError(f"{what} is required")
-    resolved = Path(path)
-    if not resolved.exists():
-        raise ValidationError(f"{what} not found: {path}")
-    return resolved
+_PATH_OPTIONS = {"ingest": ("input",), "dict": ("lexicon_dir", "stopwords"), "report": ("labels",)}
+
+
+def _check_paths(config: PipelineConfig, stages: tuple[str, ...]) -> None:
+    """Refuse, before anything is written, a path option that ``stages`` read and that is unset
+    though required (``input``, ``lexicon_dir``), missing, or not a file (``lexicon_dir``: a directory)."""
+    for name in (name for stage in stages for name in _PATH_OPTIONS.get(stage, ())):
+        path, is_dir = getattr(config, name), name == "lexicon_dir"
+        if path is None:
+            if name in ("input", "lexicon_dir"):
+                raise ValidationError(f"{name} is required")
+        elif not Path(path).exists():
+            raise ValidationError(f"{name} not found: {path}")
+        elif Path(path).is_dir() != is_dir:
+            raise ValidationError(f"{name} is not a {'directory' if is_dir else 'file'}: {Path(path)}")
 
 
 @contextmanager
@@ -167,8 +175,7 @@ class Handoff:
 def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
     """Load the input corpus, validate it, and normalize to JSON Lines."""
     _bind("ingest")
-    source = _require_input(config.input, "input")
-    reviews = load_reviews(source, config.format)
+    reviews = load_reviews(Path(config.input), config.format)
     with atomic_open(config.out / "reviews.jsonl") as handle:
         for review in reviews:
             record = {"id": review.id, "source": review.source, "text": review.text}
@@ -184,8 +191,8 @@ def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     reviews = handoff.reviews
     if reviews is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
-    stopwords = load_stopwords(config.stopwords and _require_input(config.stopwords, "stopwords"))
-    lexicon = parse_lexical_database(_require_input(config.lexicon_dir, "lexicon_dir"))
+    stopwords = load_stopwords(config.stopwords)
+    lexicon = parse_lexical_database(config.lexicon_dir)
     lemmas = ReviewLemmas()
     dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
     del lexicon  # freed here, by reference counting, to keep the encoding peak down
@@ -234,9 +241,8 @@ def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     _bind("mmio", "efa", "report")
     filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
     corr = correlation_matrix(filtered)
-    method, fixed_k = parse_factor_spec(config.factors)
     eigenvalues = eigendecompose(corr)
-    k = select_factor_count(eigenvalues, method=method, k=fixed_k)
+    k = select_factor_count(eigenvalues, parse_factor_spec(config.factors))
     model = extract_uls(corr, k)
     terms = corr.terms
     del corr  # the p x p matrix; what follows needs only its terms
@@ -275,7 +281,7 @@ def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:
     exemplars = exemplar_reviews(filtered, table, limit=config.exemplars)
     report = build_report(table, exemplars)
     if config.labels is not None:
-        labels = _read_json(_require_input(config.labels, "labels"))
+        labels = _read_json(Path(config.labels))
         if not isinstance(labels, dict):
             raise ValidationError("label file must be a JSON object of factor id to label")
         report = attach_labels(report, labels)
@@ -335,6 +341,7 @@ def cmd_stage(name: str, config: PipelineConfig) -> None:
     """Run one stage and fold its results into the manifest."""
     if name not in STAGE_FUNCS:
         raise ValidationError(f"unknown stage: {name!r}")
+    _check_paths(config, (name,))
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
         manifest = _open_manifest(config)
@@ -344,6 +351,7 @@ def cmd_stage(name: str, config: PipelineConfig) -> None:
 
 def cmd_pipeline(config: PipelineConfig) -> None:
     """Run every stage in order against a fresh manifest."""
+    _check_paths(config, STAGES)
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
         _manifest_path(config).unlink(missing_ok=True)

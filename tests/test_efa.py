@@ -169,26 +169,20 @@ class TestLapackMatchesPublicScipy:
 
 class TestSelectFactorCount:
     def test_kaiser_counts_strictly_above_one(self):
-        assert select_factor_count(np.array([2.5, 1.2, 1.0, 0.3]), "kaiser") == 2
+        assert select_factor_count(np.array([2.5, 1.2, 1.0, 0.3])) == 2
 
     def test_kaiser_zero_is_an_error(self):
         with pytest.raises(ValidationError):
-            select_factor_count(np.array([1.0, 0.9]), "kaiser")
+            select_factor_count(np.array([1.0, 0.9]))
 
     def test_fixed(self):
-        assert select_factor_count(np.ones(10), "fixed", k=4) == 4
+        assert select_factor_count(np.ones(10), 4) == 4
 
     def test_fixed_requires_k_in_range(self):
         with pytest.raises(ValidationError):
-            select_factor_count(np.ones(3), "fixed", k=4)
+            select_factor_count(np.ones(3), 4)
         with pytest.raises(ValidationError):
-            select_factor_count(np.ones(3), "fixed", k=0)
-        with pytest.raises(ValidationError):
-            select_factor_count(np.ones(3), "fixed")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError):
-            select_factor_count(np.ones(3), "scree")
+            select_factor_count(np.ones(3), 0)
 
 
 def one_factor_corr(lam):

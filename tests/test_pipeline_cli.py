@@ -673,6 +673,39 @@ class TestExitCodes:
             )
             == 1
         )
+        assert capsys.readouterr().err == f"error: input not found: {tmp_path / 'nope.jsonl'}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--input", "directory", "input is not a file: "),
+            ("--stopwords", "directory", "stopwords is not a file: "),
+            ("--stopwords", "", "stopwords is not a file: ."),
+            ("--labels", "directory", "labels is not a file: "),
+            ("--config", "directory", "config file is a directory: "),
+            ("--lexicon-dir", "file", "lexicon_dir is not a directory: "),
+            ("--labels", "missing", "labels not found: "),
+            ("--lexicon-dir", "missing", "lexicon_dir not found: "),
+            ("--lexicon-dir", None, "lexicon_dir is required"),
+        ],
+        ids=["input-dir", "stopwords-dir", "stopwords-empty", "labels-dir", "config-dir", "lexicon-file",
+             "labels-missing", "lexicon-missing", "lexicon-unset"],
+    )
+    def test_bad_path_option_is_one_validation_line_before_any_write(
+        self, option, value, message, corpus, lexicon_dir, tmp_path, capsys
+    ):
+        values = {"directory": str(tmp_path), "file": str(corpus), "missing": str(tmp_path / "nope"), "": ""}
+        options = {"--input": str(corpus), "--lexicon-dir": str(lexicon_dir), "--factors": "fixed:2"}
+        if value is None:
+            del options[option]
+        else:
+            options[option] = values[value]
+        out = tmp_path / "out"
+        assert main(["pipeline", "--output-dir", str(out), *(arg for pair in options.items() for arg in pair)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "dict"])
     def test_missing_stopwords_is_validation(self, command, corpus, lexicon_dir, tmp_path, capsys):

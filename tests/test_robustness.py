@@ -7,6 +7,9 @@
   renames leaves a directory that ``verify`` judges (exit 0 or 2,
   no traceback), and a rerun of ``pipeline`` restores every byte and
   leaves no temporary file.
+- A path option that a command reads and that names nothing, or a
+  directory where a file belongs or a file where a directory does, ends
+  the command in exit 1 and one line before it writes anything.
 
 Tier-1 runs a fixed sample of kill points. ``pytest --kill-sweep`` runs
 every one, each command over a finished run.
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 
 import lexifactor
 from lexifactor.artifacts import STAGE_ARTIFACTS, STAGES
+from lexifactor.cli import main
 from test_pipeline_cli import artifact_bytes, corpus, finished_run, run_command, run_pipeline  # noqa: F401
 
 _SRC = str(Path(lexifactor.__file__).resolve().parent.parent)
@@ -137,6 +141,37 @@ def test_corrupted_artifact_ends_in_an_exit_code_and_one_line(
         # A failed stage may have replaced some of its artifacts already,
         # so what the directory holds is for verify to judge.
         assert run_quietly("verify", corpus, lexicon_dir, out)[0] in (0, 2)
+
+
+# The path options each command reads besides ``--config``, which all read.
+PATH_OPTIONS = {
+    "pipeline": ("--input", "--lexicon-dir", "--stopwords", "--labels"),
+    "ingest": ("--input",),
+    "dict": ("--lexicon-dir", "--stopwords"),
+    "report": ("--labels",),
+}
+
+
+@given(command=st.sampled_from(("pipeline", *COMMANDS)), finished=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_bad_path_option_ends_in_one_line_and_changes_nothing(
+    corpus, lexicon_dir, finished_run, command, finished, data
+):
+    option = data.draw(st.sampled_from(("--config", *PATH_OPTIONS.get(command, ()))))
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        wrong_kind = corpus if option == "--lexicon-dir" else scratch
+        bad = data.draw(st.sampled_from((scratch / "nope", wrong_kind)))
+        out = shutil.copytree(finished_run, scratch / "out") if finished else scratch / "out"
+        before = artifact_bytes(out) if finished else None
+
+        args = [command, "--output-dir", str(out), "--input", str(corpus), "--lexicon-dir", str(lexicon_dir),
+                "--factors", "fixed:2", option, str(bad)]
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(args)
+        assert code == 1 and err.getvalue().count("\n") == 1, err.getvalue()
+        assert (artifact_bytes(out) if out.exists() else None) == before
 
 
 # Kills the command in argv[3:] when os.replace is called for the
