@@ -21,7 +21,7 @@ from typing import Any, Iterable, Iterator
 from . import STAGES, __version__
 from .atomic import atomic_open
 from .config import PipelineConfig
-from .errors import ParseError, StageError, named_decode_errors
+from .errors import ParseError, StageError, named_decode_errors, refuse_lone_surrogates
 
 STAGE_ARTIFACTS = {
     "ingest": ("reviews.jsonl",),
@@ -60,11 +60,15 @@ def _write_json(path: Path, payload: Any) -> None:
 
 
 def _read_json(path: Path) -> Any:
+    """The JSON value in ``path``, all of whose strings UTF-8 can encode."""
     with named_decode_errors(path), open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
+        text = handle.read()
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
+    refuse_lone_surrogates(value, text, path=path)
+    return value
 
 
 def _sha256(path: Path) -> str:

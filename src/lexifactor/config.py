@@ -61,6 +61,15 @@ class PipelineConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValidationError(f"{name} must be positive, got {value}")
+        # The manifest's config snapshot records these paths as UTF-8 JSON.
+        # A non-UTF-8 byte of the command line reaches here as a surrogate.
+        for name in ("input", "lexicon_dir", "stopwords", "labels"):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"{name} is not a UTF-8 path: {value!r}") from None
 
     def snapshot(self) -> dict[str, Any]:
         """Config as recorded in the manifest.

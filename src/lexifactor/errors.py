@@ -10,9 +10,10 @@ the file and line; ``OSError`` to 3.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 
 class ValidationError(Exception):
@@ -47,3 +48,27 @@ def named_decode_errors(path: str | Path) -> Iterator[None]:
         yield
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=str(path)) from exc
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def refuse_lone_surrogates(value: Any, raw: str, *, path: str | Path, line: int | None = None) -> None:
+    """Raise a :class:`ParseError` naming ``path`` (and ``line``) if a
+    string of ``value``, a key too, holds a surrogate code point, which
+    no UTF-8 writer can encode. JSON parsed from ``raw`` holds one only
+    through a lone ``\\u`` escape, so ``value`` is searched only when
+    ``raw`` holds ``\\u``."""
+    if "\\u" not in raw:
+        return
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            if _SURROGATE.search(item):
+                raise ParseError("lone surrogate escape, which UTF-8 cannot encode", path=str(path), line=line)
+        elif isinstance(item, dict):
+            pending.extend(item)
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)

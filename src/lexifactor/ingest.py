@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, ValidationError, named_decode_errors
+from .errors import ParseError, ValidationError, named_decode_errors, refuse_lone_surrogates
 
 # A token is a lowercase run of ASCII letters.
 Token = str
@@ -88,6 +88,7 @@ def _load_jsonl(path: Path) -> list[Review]:
             if not isinstance(record, dict):
                 raise ParseError("line is not a JSON object", path=str(path), line=lineno)
             fields = {name: _require_str(record, name, path=str(path), line=lineno) for name in _REQUIRED_FIELDS}
+            refuse_lone_surrogates(fields, stripped, path=path, line=lineno)
             reviews.append(Review(**fields))
     return reviews
 

@@ -23,6 +23,9 @@ Each stage imports the layers it computes with when it starts, so a
 stage command loads no other: ``ingest`` runs without NumPy, and only
 ``efa`` loads SciPy. A lone ``matrix`` stage reads each record's
 ``term`` and ``forms`` from ``dictionary.json`` and no other field.
+The ``efa`` stage drops the matrix it reads from ``filtered.mtx`` as
+soon as phi is made, so while LAPACK runs it holds the p x p
+correlation matrix alone.
 """
 
 from __future__ import annotations
@@ -96,8 +99,11 @@ _PATH_OPTIONS = {"ingest": ("input",), "dict": ("lexicon_dir", "stopwords"), "re
 
 
 def _check_paths(config: PipelineConfig, stages: tuple[str, ...]) -> None:
-    """Refuse, before anything is written, a path option that ``stages`` read and that is unset
-    though required (``input``, ``lexicon_dir``), missing, or not a file (``lexicon_dir``: a directory)."""
+    """Refuse, before anything is written, an ``output_dir`` that names an existing file, and a
+    path option that ``stages`` read and that is unset though required (``input``,
+    ``lexicon_dir``), missing, or not a file (``lexicon_dir``: a directory)."""
+    if config.out.exists() and not config.out.is_dir():
+        raise ValidationError(f"output_dir is not a directory: {config.out}")
     for name in (name for stage in stages for name in _PATH_OPTIONS.get(stage, ())):
         path, is_dir = getattr(config, name), name == "lexicon_dir"
         if path is None:
@@ -239,8 +245,8 @@ def stage_matrix(config: PipelineConfig, handoff: Handoff) -> dict:
 def stage_efa(config: PipelineConfig, handoff: Handoff) -> dict:
     """Correlate, extract, rotate, prune, and refine factor loadings."""
     _bind("mmio", "efa", "report")
-    filtered = read_matrix_market(_require_artifact(config.out / "filtered.mtx"))
-    corr = correlation_matrix(filtered)
+    # The read matrix is freed, by reference counting, as soon as phi is made.
+    corr = correlation_matrix(read_matrix_market(_require_artifact(config.out / "filtered.mtx")))
     eigenvalues = eigendecompose(corr)
     k = select_factor_count(eigenvalues, parse_factor_spec(config.factors))
     model = extract_uls(corr, k)

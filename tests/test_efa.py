@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+import weakref
 from importlib.metadata import version
 
 import numpy as np
@@ -39,6 +40,7 @@ from lexifactor import (
     varimax_criterion,
     varimax_rotate,
 )
+from lexifactor import pipeline as pipeline_module
 from lexifactor.efa import (
     _ROUTINES,
     _anchor_signs,
@@ -572,6 +574,30 @@ class TestWorkingMemory:
         values = layout(factor_model_corr(np.random.default_rng(6), 12, 2).values)
         with pytest.raises(ValidationError, match="writable C-ordered float64"):
             solver(CorrelationMatrix(values=values, terms=tuple(f"t{i}" for i in range(12))))
+
+    def test_efa_stage_frees_the_read_matrix_before_the_spectrum(self, matrix_run, lexicon_dir, tmp_path,
+                                                                  monkeypatch):
+        """The stage's calls are wrapped as the stage looks them up, in
+        ``lexifactor.pipeline``'s namespace: once phi is made, nothing
+        holds the matrix read from ``filtered.mtx``."""
+        corpus, finished = matrix_run
+        out = shutil.copytree(finished, tmp_path / "out")
+        read, spectrum = pipeline_module.read_matrix_market, pipeline_module.eigendecompose
+        matrices, alive = [], []
+
+        def weakly_recorded_read(path):
+            matrix = read(path)
+            matrices.append(weakref.ref(matrix))
+            return matrix
+
+        def checked_spectrum(corr):
+            alive.append([ref() is not None for ref in matrices])
+            return spectrum(corr)
+
+        monkeypatch.setattr(pipeline_module, "read_matrix_market", weakly_recorded_read)
+        monkeypatch.setattr(pipeline_module, "eigendecompose", checked_spectrum)
+        assert run_command("efa", corpus, lexicon_dir, out) == 0
+        assert alive == [[False]]
 
 
 def failing_dsyevr(monkeypatch) -> None:

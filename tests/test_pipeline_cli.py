@@ -959,6 +959,76 @@ class TestExitCodes:
             f"error: {reviews}: not UTF-8 text (invalid start byte)",
         ]
 
+    def test_corpus_line_with_a_lone_surrogate_is_stage_error_before_any_write(self, lexicon_dir, tmp_path, capsys):
+        """A ``\\ud800`` escape in valid UTF-8 text: a string that no UTF-8 writer can encode."""
+        corpus = tmp_path / "reviews.jsonl"
+        corpus.write_text(jsonl_lines("suite")[0] + '\n{"id": "a", "source": "web", "text": "bad \\ud800 text"}\n',
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(corpus), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}:2: lone surrogate escape, which UTF-8 cannot encode\n"
+        assert artifact_bytes(out) == {}
+
+    @pytest.mark.parametrize(
+        "command, name, edit",
+        [
+            ("matrix", "dictionary.json", lambda payload: payload["terms"][0].update(term="\ud800x")),
+            ("report", "manifest.json", lambda payload: payload["stages"]["ingest"]["counts"].update({"\ud800": 1})),
+        ],
+        ids=["matrix-dictionary-term", "report-manifest-counts-key"],
+    )
+    def test_json_artifact_with_a_lone_surrogate_is_stage_error_before_any_write(
+        self, command, name, edit, corpus, lexicon_dir, finished_run, tmp_path, capsys
+    ):
+        out = shutil.copytree(finished_run, tmp_path / "out")
+        path = out / name
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")  # the surrogate as a \ud800 escape
+        before = artifact_bytes(out)
+        capsys.readouterr()
+        assert run_command(command, corpus, lexicon_dir, out) == 2
+        assert capsys.readouterr().err == f"error: {path}: lone surrogate escape, which UTF-8 cannot encode\n"
+        assert artifact_bytes(out) == before
+
+    def test_label_with_a_lone_surrogate_is_stage_error_before_the_report(self, corpus, lexicon_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"2": "bad \\ud800 label"}', encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_pipeline(corpus, lexicon_dir, out, extra=("--labels", str(labels))) == 2
+        assert capsys.readouterr().err == f"error: {labels}: lone surrogate escape, which UTF-8 cannot encode\n"
+        assert not (out / "report.md").exists() and not (out / "report.json").exists()
+        assert "report" not in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+
+    @pytest.mark.parametrize("option", ["--input", "--lexicon-dir", "--stopwords", "--labels"])
+    def test_path_option_that_is_not_utf8_is_one_validation_line_before_any_write(
+        self, option, corpus, lexicon_dir, tmp_path, capsys
+    ):
+        """A non-UTF-8 byte of the command line reaches the program as a
+        surrogate (``surrogateescape``), which the manifest cannot record.
+        The path names an existing file or directory of the right kind."""
+        bad = tmp_path / "rev\udcff"  # the file name bytes b"rev\xff"
+        if option == "--lexicon-dir":
+            shutil.copytree(lexicon_dir, bad)
+        else:
+            bad.write_text({"--input": corpus.read_text(encoding="utf-8"), "--stopwords": "the\n",
+                            "--labels": "{}"}[option], encoding="utf-8")
+        options = {"--input": str(corpus), "--lexicon-dir": str(lexicon_dir), option: str(bad)}
+        out = tmp_path / "out"
+        args = ["pipeline", "--output-dir", str(out), "--factors", "fixed:2"]
+        assert main([*args, *(arg for pair in options.items() for arg in pair)]) == 1
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} is not a UTF-8 path: {str(bad)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "efa"])
+    def test_output_dir_naming_a_file_is_one_validation_line(self, command, corpus, lexicon_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("x", encoding="utf-8")
+        assert run_command(command, corpus, lexicon_dir, afile) == 1
+        assert capsys.readouterr().err == f"error: output_dir is not a directory: {afile}\n"
+        assert afile.read_text(encoding="utf-8") == "x"
+
     def test_lock_contention(self, corpus, lexicon_dir, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

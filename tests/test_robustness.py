@@ -57,6 +57,13 @@ MUTATIONS = (
     "last line repeated",
 )
 JSON_VALUES = (None, 0, -1.5, "x", True, [], {})
+# A swapped-in value may also be a short string with surrogates (category
+# Cs), which Hypothesis's default text strategy leaves out. ``json.dumps``
+# writes each as a ``\u`` escape, which parses back into a lone surrogate,
+# or into one character where a high one comes just before a low one.
+JSON_VALUE = st.sampled_from(JSON_VALUES) | st.text(
+    st.characters(categories=("Cs",)) | st.sampled_from("xy"), min_size=1, max_size=3
+)
 GARBAGE_LINES = (b"garbage\n", b"\xff\xfe\n", b"{\n", b"1 2 3\n", b"-1 -1\n", b"\n")
 
 
@@ -70,14 +77,14 @@ def json_paths(value, path=()):
 
 def swap_json(value, draw):
     """``value``, freshly parsed, with one of its nodes replaced by a JSON
-    scalar or an empty shape."""
+    scalar, an empty shape or a short string."""
     path = draw(st.sampled_from(list(json_paths(value))))
     if not path:
-        return draw(st.sampled_from(JSON_VALUES))
+        return draw(JSON_VALUE)
     node = value
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = draw(st.sampled_from(JSON_VALUES))
+    node[path[-1]] = draw(JSON_VALUE)
     return value
 
 
@@ -106,7 +113,7 @@ def mutate(name: str, data: bytes, mutation: str, draw) -> bytes:
         at = draw(st.integers(0, len(lines) - 1))
         lines[at] = json.dumps(swap_json(json.loads(lines[at]), draw)).encode() + b"\n"
         return b"".join(lines)
-    return json.dumps(draw(st.sampled_from(JSON_VALUES))).encode()
+    return json.dumps(draw(JSON_VALUE)).encode()
 
 
 def run_quietly(command, corpus, lexicon_dir, out) -> tuple[int, str]:
