@@ -67,6 +67,7 @@ _EXPORTS = {
         "FactorSection",
         "attach_labels",
         "build_report",
+        "check_labels",
         "emit_report",
         "exemplar_reviews",
         "render_markdown",

@@ -7,17 +7,16 @@ one per line, aligned with the matrix dimensions. The header and the
 size line are parsed in :mod:`lexifactor.artifacts`, where ``verify``
 reads them too.
 
-The reader has two paths to one result. A line scan defines what it
-accepts and every error it raises. An entry section in exactly the
-writer's own form, which is every file the pipeline writes, is instead
-checked and decoded in a few array operations; any other section, valid
-or not, goes to the scan.
+The reader takes back only what the writer writes. Its entry lines must
+be in the writer's own form: unsigned indices, strictly increasing
+row-major order, no comment, blank line or CR. Anything else is a
+format error at the earliest offending line. A few array operations
+over the whole entry section check and decode it; there is no
+line-by-line path.
 """
 
 from __future__ import annotations
 
-import io
-import re
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +28,6 @@ from .matrix import DocTermMatrix
 
 # More digits than this may overflow int64; such an index is out of range.
 _MAX_DIGITS = 18
-
-# The ASCII whitespace of str.isspace(); CRs are newlines by now.
-_BLANK = rb"[ \t\x0b\x0c\x1c-\x1f]"
-_BLANK_LINE = re.compile(_BLANK + rb"*")
-_ENTRY_LINE = re.compile(
-    _BLANK + rb"*(?P<row>[+-]?(?P<row_digits>[0-9]+))"
-    + _BLANK + rb"+(?P<column>[+-]?(?P<column_digits>[0-9]+))" + _BLANK + rb"*"
-)
 
 
 def terms_sidecar(mtx_path: str | Path) -> Path:
@@ -64,30 +55,21 @@ def write_matrix_market(matrix: DocTermMatrix, mtx_path: str | Path) -> None:
 def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
     """Read a matrix written by :func:`write_matrix_market`.
 
-    Entries may appear in any order, between ``%`` comment lines and
-    blank lines. Each entry line holds two ASCII decimal indices, with
-    an optional sign, separated by ASCII whitespace. Malformed entries,
-    out-of-range indices, duplicates and a wrong entry count are format
-    errors; when a file has several, the one on the earliest line is
-    reported. An index of more than 18 digits is out of range, even with
-    leading zeros, so that every index fits in int64.
-
-    Entries exactly as the writer writes them are decoded in one array
-    pass; anything else is read one line at a time.
+    Only the writer's form is read: ``row column`` lines of ASCII digits,
+    each ending in a newline, in range and in strictly increasing
+    row-major order; an index of more than 18 digits, even with leading
+    zeros, is out of range. Anything else, or a wrong entry count, is a
+    format error, which names the earliest offending line.
     """
     mtx_path = Path(mtx_path)
     path = str(mtx_path)
     terms = _read_lines(terms_sidecar(mtx_path))
     doc_ids = _read_lines(docs_sidecar(mtx_path))
 
-    data = mtx_path.read_bytes()
-    if b"\r" in data:  # universal newlines, as a text-mode read sees them
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-    stream = io.BytesIO(data)
-    lines = (line.decode("utf-8", "replace") for line in stream)
-    n_docs, n_terms, nnz, lineno = _parse_size(lines, path)
-    pos = stream.tell()  # just past the size line
+    with open(mtx_path, "rb") as handle:
+        lines = (line.decode("utf-8", "replace") for line in handle)
+        n_docs, n_terms, nnz, lineno = _parse_size(lines, path)
+        body = handle.read()  # the entry lines, which follow the size line
     if n_docs != len(doc_ids):
         raise ParseError(
             f"matrix declares {n_docs} rows but docs sidecar lists {len(doc_ids)}", path=path
@@ -97,11 +79,7 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
             f"matrix declares {n_terms} columns but terms sidecar lists {len(terms)}", path=path
         )
 
-    body = data[pos:]
-    entries = _writer_entries(body, n_docs, n_terms)
-    if entries is None:
-        entries = _scan_entries(body, lineno, n_docs, n_terms, path)
-    rows, columns = entries
+    rows, columns = _entries(body, lineno, n_docs, n_terms, path)
     if rows.size != nnz:
         raise ParseError(f"size line declares {nnz} entries, file has {rows.size}", path=path)
 
@@ -113,75 +91,72 @@ def read_matrix_market(mtx_path: str | Path) -> DocTermMatrix:
     )
 
 
-def _writer_entries(
-    body: bytes, n_docs: int, n_terms: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decode an entry section in exactly the writer's form, or return
-    None and leave every other section, valid or not, to the scan.
-
-    That form is ``row column\\n`` lines of 1-18 unsigned ASCII digits,
-    indices in range and entries in strictly increasing row-major order.
-    """
-    text = np.frombuffer(body, dtype=np.uint8)
-    if text.size and text[-1] != ord("\n") or np.any(text > ord("9")):
-        return None
-    # The only bytes below "0" are the separators: a space, then a newline.
-    separators = np.flatnonzero(text < ord("0"))
-    kinds = text[separators]
-    if kinds.size % 2 or np.any(kinds[0::2] != ord(" ")) or np.any(kinds[1::2] != ord("\n")):
-        return None
-    widths = np.diff(separators, prepend=-1) - 1
-    if np.any((widths < 1) | (widths > _MAX_DIGITS)):
-        return None
-    values = np.fromstring(body, dtype=np.int64, sep=" ")
-    rows, columns = values[0::2] - 1, values[1::2] - 1
-    if np.any((rows < 0) | (rows >= n_docs) | (columns < 0) | (columns >= n_terms)):
-        return None
-    keys = rows * n_terms + columns
-    if np.any(keys[1:] <= keys[:-1]):
-        return None
-    return rows, columns
-
-
-def _scan_entries(
+def _entries(
     body: bytes, lineno: int, n_docs: int, n_terms: int, path: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and decode the entry lines one at a time.
+    """The 0-based rows and columns of the entry lines after the size
+    line, at line ``lineno``, or a format error at the earliest offending
+    line. Each check looks only at the lines before the first offence
+    found so far, so within one line a malformed entry comes first, then
+    an index out of range, then an entry out of order."""
+    text = np.frombuffer(body, dtype=np.uint8)
+    # Each non-digit byte is a separator: entry i ends its row at
+    # separator 2i, a space, and its column at 2i + 1, a newline.
+    separators = np.flatnonzero((text < ord("0")) | (text > ord("9")))
+    kinds = text[separators]
+    widths = np.diff(separators, prepend=-1) - 1
+    # The first separator of the wrong kind or with no digit before it.
+    first_bad = min(
+        2 * _first(kinds[0::2] != ord(" ")),
+        2 * _first(kinds[1::2] != ord("\n")) + 1,
+        _first(widths == 0),
+    )
+    count = first_bad // 2  # the well-formed lines before the first malformed one
+    unterminated = bool(body) and not body.endswith(b"\n")
+    problem = "malformed" if first_bad < kinds.size or unterminated else None
+    wide = _first(widths[: 2 * count] > _MAX_DIGITS) // 2
+    if wide < count:
+        count, problem = wide, "outside"
+    del kinds, widths  # each array goes once its checks are done, to keep the peak down
 
-    ``lineno`` is the file line number of the size line. Raises at the
-    first offending line. Returns 0-based row and column indices sorted
-    row-major.
-    """
-    rows: list[int] = []
-    columns: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    for line, text in enumerate(body.split(b"\n"), start=lineno + 1):
-        if text.startswith(b"%") or _BLANK_LINE.fullmatch(text):
-            continue
-        entry = _ENTRY_LINE.fullmatch(text)
-        if entry is None:
-            message = f"malformed entry: {text.decode('utf-8', 'replace').strip()!r}"
-            raise ParseError(message, path=path, line=line)
-        # The digit count alone puts a long index out of range; int() would
-        # refuse one of thousands of digits.
-        too_long = max(len(entry["row_digits"]), len(entry["column_digits"])) > _MAX_DIGITS
-        row, column = (0, 0) if too_long else (int(entry["row"]), int(entry["column"]))
-        if too_long or not (1 <= row <= n_docs and 1 <= column <= n_terms):
-            shown = f"{_decimal(entry['row'])}, {_decimal(entry['column'])}"
-            raise ParseError(f"entry ({shown}) outside {n_docs}x{n_terms}", path=path, line=line)
-        if (row, column) in seen:
-            raise ParseError(f"duplicate entry ({row}, {column})", path=path, line=line)
-        seen.add((row, column))
-        rows.append(row - 1)
-        columns.append(column - 1)
-    order = np.lexsort((columns, rows))
-    return np.array(rows, dtype=np.int64)[order], np.array(columns, dtype=np.int64)[order]
+    end = separators[2 * count - 1] + 1 if count else 0
+    # Only a refused file is sliced: a slice copies the bytes.
+    values = np.fromstring(body if end == len(body) else body[:end], dtype=np.int64, sep=" ")
+    rows, columns = values[0::2] - 1, values[1::2] - 1
+    del values
+    outside = _first((rows < 0) | (rows >= n_docs) | (columns < 0) | (columns >= n_terms))
+    if outside < count:
+        count, problem = outside, "outside"
+    keys = rows[:count] * n_terms + columns[:count]
+    unordered = _first(keys[1:] <= keys[:-1]) + 1
+    if unordered < count:
+        count, problem = unordered, "order"
+    if problem is None:
+        return rows, columns
+
+    def line(i: int) -> bytes:
+        start = separators[2 * i - 1] + 1 if i else 0
+        stop = body.find(b"\n", start)
+        return body[start : stop if stop >= 0 else len(body)]
+
+    def shown(i: int) -> str:
+        return ", ".join(index.lstrip(b"0").decode() or "0" for index in line(i).split(b" "))
+
+    if problem == "malformed":
+        message = f"malformed entry: {line(count).decode('utf-8', 'replace')!r}"
+    elif problem == "outside":
+        message = f"entry ({shown(count)}) outside {n_docs}x{n_terms}"
+    elif shown(count) == shown(count - 1):
+        message = f"duplicate entry ({shown(count)})"
+    else:
+        message = f"entry ({shown(count)}) not after ({shown(count - 1)})"
+    raise ParseError(message, path=path, line=lineno + 1 + count)
 
 
-def _decimal(index: bytes) -> str:
-    """``str(int(index))`` for a signed ASCII index of any length."""
-    digits = index.lstrip(b"+-").lstrip(b"0").decode() or "0"
-    return "-" + digits if index.startswith(b"-") and digits != "0" else digits
+def _first(mask: np.ndarray) -> int:
+    """The index of the first true element of ``mask``, or its length."""
+    index = int(mask.argmax()) if mask.size else 0
+    return index if mask.size and mask[index] else mask.size
 
 
 def _write_lines(path: Path, lines: tuple[str, ...]) -> None:

@@ -167,15 +167,32 @@ class Handoff:
 
     ``reviews`` go from ingest to dict and matrix; ``columns``, the
     dictionary's terms and their index, and ``lemmas``, the dict stage's
-    lexical pass, go from dict to matrix. The matrix stage clears them
-    all, so none outlives the matrix stage. They equal what a stage
+    lexical pass, go from dict to matrix. The matrix stage clears these
+    three, so none outlives the matrix stage. They equal what a stage
     would read back from the artifacts, and a stage with nothing handed
-    to it reads those instead.
+    to it reads those instead. ``stopwords`` for the dict stage and
+    ``labels`` for the report stage are read and checked by the command,
+    before any stage writes (:func:`_read_stopwords_and_labels`).
     """
 
     reviews: list[Review] | None = None
     columns: TermColumns | None = None
     lemmas: ReviewLemmas | None = None
+    stopwords: frozenset[str] | None = None
+    labels: dict[int, str] | None = None
+
+
+def _read_stopwords_and_labels(config: PipelineConfig, stages: tuple[str, ...]) -> Handoff:
+    """A handoff holding the stopword list and the analyst labels, if
+    ``stages`` read them, so that a bad file is refused before any write."""
+    handoff = Handoff()
+    if "dict" in stages:
+        _bind("lexicon")
+        handoff.stopwords = load_stopwords(config.stopwords)
+    if "report" in stages and config.labels is not None:
+        _bind("report")
+        handoff.labels = check_labels(_read_json(Path(config.labels)))
+    return handoff
 
 
 def stage_ingest(config: PipelineConfig, handoff: Handoff) -> dict:
@@ -197,10 +214,9 @@ def stage_dict(config: PipelineConfig, handoff: Handoff) -> dict:
     reviews = handoff.reviews
     if reviews is None:
         reviews = load_reviews(_require_artifact(config.out / "reviews.jsonl"), "jsonl")
-    stopwords = load_stopwords(config.stopwords)
     lexicon = parse_lexical_database(config.lexicon_dir)
     lemmas = ReviewLemmas()
-    dictionary = build_dictionary(reviews, lexicon, stopwords, lemmas)
+    dictionary = build_dictionary(reviews, lexicon, handoff.stopwords, lemmas)
     del lexicon  # freed here, by reference counting, to keep the encoding peak down
     with atomic_open(config.out / "dictionary.json") as handle:
         handle.writelines(dictionary.json_lines())
@@ -286,11 +302,8 @@ def stage_report(config: PipelineConfig, handoff: Handoff) -> dict:
         raise StageError(f"{table_path}: factor {factor} term {term!r} is not a column of filtered.mtx")
     exemplars = exemplar_reviews(filtered, table, limit=config.exemplars)
     report = build_report(table, exemplars)
-    if config.labels is not None:
-        labels = _read_json(Path(config.labels))
-        if not isinstance(labels, dict):
-            raise ValidationError("label file must be a JSON object of factor id to label")
-        report = attach_labels(report, labels)
+    if handoff.labels is not None:  # the factor ids are checked against the report here
+        report = attach_labels(report, handoff.labels)
     emit_report(report, config.out / "report.md", config.out / "report.json")
     return {"factors_reported": len(report.sections)}
 
@@ -348,21 +361,22 @@ def cmd_stage(name: str, config: PipelineConfig) -> None:
     if name not in STAGE_FUNCS:
         raise ValidationError(f"unknown stage: {name!r}")
     _check_paths(config, (name,))
+    handoff = _read_stopwords_and_labels(config, (name,))
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
         manifest = _open_manifest(config)
-        counts = STAGE_FUNCS[name](config, Handoff())
+        counts = STAGE_FUNCS[name](config, handoff)
         _record_stage(config, manifest, name, counts)
 
 
 def cmd_pipeline(config: PipelineConfig) -> None:
     """Run every stage in order against a fresh manifest."""
     _check_paths(config, STAGES)
+    handoff = _read_stopwords_and_labels(config, STAGES)
     config.out.mkdir(parents=True, exist_ok=True)
     with _run_lock(config.out):
         _manifest_path(config).unlink(missing_ok=True)
         manifest = _fresh_manifest(config)
-        handoff = Handoff()
         for stage in STAGES:
             counts = STAGE_FUNCS[stage](config, handoff)
             _record_stage(config, manifest, stage, counts)

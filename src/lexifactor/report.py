@@ -82,12 +82,12 @@ def build_report(
     return FactorReport(sections=sections, threshold=table.threshold)
 
 
-def attach_labels(report: FactorReport, labels: Mapping[int | str, str]) -> FactorReport:
-    """Return a copy of the report with analyst labels filled in.
-
-    Label keys (factor ids, possibly strings when read from JSON) must
-    name factors present in the report.
-    """
+def check_labels(labels: object) -> dict[int, str]:
+    """Analyst labels as factor id to stripped label. ``labels`` must map
+    factor ids (ints, or strings of them as JSON keys are) to non-empty
+    strings; :func:`attach_labels` checks that the ids name factors."""
+    if not isinstance(labels, Mapping):
+        raise ValidationError("label file must be a JSON object of factor id to label")
     normalized: dict[int, str] = {}
     for key, label in labels.items():
         try:
@@ -97,6 +97,13 @@ def attach_labels(report: FactorReport, labels: Mapping[int | str, str]) -> Fact
         if not isinstance(label, str) or not label.strip():
             raise ValidationError(f"label for factor {factor_id} must be a non-empty string")
         normalized[factor_id] = label.strip()
+    return normalized
+
+
+def attach_labels(report: FactorReport, labels: Mapping[int | str, str]) -> FactorReport:
+    """Return a copy of the report with analyst labels filled in, each
+    key naming a factor present in the report (see :func:`check_labels`)."""
+    normalized = check_labels(labels)
     known = {section.factor for section in report.sections}
     unknown = sorted(set(normalized) - known)
     if unknown:

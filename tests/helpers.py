@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,59 +71,72 @@ def to_dense(matrix: DocTermMatrix) -> np.ndarray:
 def reference_read_entries(mtx_path, n_sidecar_docs: int, n_sidecar_terms: int):
     """Line-by-line Matrix Market reader: the rows of the matrix.
 
-    Reads the file in text mode and checks one line at a time, raising
-    the same ``ParseError`` messages as the package reader. The sidecar
-    lengths are passed in rather than read.
+    Splits the file at its newlines and checks one line at a time,
+    raising the same ``ParseError`` messages as the package reader. The
+    header and size line may have comments, blanks and any whitespace
+    around them; each entry line must be exactly ``row column`` and a
+    newline, unsigned indices in range and in strictly increasing
+    row-major order. The sidecar lengths are passed in rather than read.
     """
     path = str(mtx_path)
-    with open(mtx_path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header.split() != "%%MatrixMarket matrix coordinate pattern general".split():
-            raise ParseError(f"unsupported Matrix Market header: {header!r}", path=path, line=1)
-        lineno = 1
-        size_line = None
-        for raw in handle:
-            lineno += 1
-            if raw.startswith("%") or not raw.strip():
-                continue
+    lines = Path(mtx_path).read_bytes().split(b"\n")
+    terminated = len(lines) - 1  # the lines that end in a newline
+    if lines[-1] == b"":
+        lines.pop()
+    header = lines[0].decode("utf-8", "replace") if lines else ""
+    if header.split() != "%%MatrixMarket matrix coordinate pattern general".split():
+        raise ParseError(f"unsupported Matrix Market header: {header!r}", path=path, line=1)
+    lineno = 1
+    size_line = None
+    while lineno < len(lines):
+        raw = lines[lineno].decode("utf-8", "replace")
+        lineno += 1
+        if not raw.startswith("%") and raw.strip():
             size_line = raw
             break
-        if size_line is None:
-            raise ParseError("missing size line", path=path)
-        try:
-            n_docs, n_terms, nnz = (int(x) for x in size_line.split())
-        except ValueError as exc:
-            raise ParseError(f"malformed size line: {size_line!r}", path=path, line=lineno) from exc
-        if n_docs != n_sidecar_docs:
-            raise ParseError(
-                f"matrix declares {n_docs} rows but docs sidecar lists {n_sidecar_docs}", path=path
-            )
-        if n_terms != n_sidecar_terms:
-            raise ParseError(
-                f"matrix declares {n_terms} columns but terms sidecar lists {n_sidecar_terms}",
-                path=path,
-            )
-        row_sets: list[set[int]] = [set() for _ in range(n_docs)]
-        seen = 0
-        for raw in handle:
-            lineno += 1
-            if raw.startswith("%") or not raw.strip():
-                continue
-            try:
-                row, column = (int(x) for x in raw.split())
-            except ValueError as exc:
-                raise ParseError(f"malformed entry: {raw.strip()!r}", path=path, line=lineno) from exc
-            if not (1 <= row <= n_docs and 1 <= column <= n_terms):
-                raise ParseError(
-                    f"entry ({row}, {column}) outside {n_docs}x{n_terms}", path=path, line=lineno
-                )
-            if column - 1 in row_sets[row - 1]:
-                raise ParseError(f"duplicate entry ({row}, {column})", path=path, line=lineno)
-            row_sets[row - 1].add(column - 1)
-            seen += 1
-        if seen != nnz:
-            raise ParseError(f"size line declares {nnz} entries, file has {seen}", path=path)
-    return tuple(tuple(sorted(row)) for row in row_sets)
+    if size_line is None:
+        raise ParseError("missing size line", path=path)
+    try:
+        n_docs, n_terms, nnz = (int(x) for x in size_line.split())
+    except ValueError as exc:
+        size_line += "\n" if lineno <= terminated else ""
+        raise ParseError(f"malformed size line: {size_line!r}", path=path, line=lineno) from exc
+    if n_docs != n_sidecar_docs:
+        raise ParseError(
+            f"matrix declares {n_docs} rows but docs sidecar lists {n_sidecar_docs}", path=path
+        )
+    if n_terms != n_sidecar_terms:
+        raise ParseError(
+            f"matrix declares {n_terms} columns but terms sidecar lists {n_sidecar_terms}",
+            path=path,
+        )
+
+    def decimal(index: bytes) -> str:
+        return str(int(index)) if len(index) <= 18 else index.lstrip(b"0").decode() or "0"
+
+    rows: list[list[int]] = [[] for _ in range(n_docs)]
+    previous = None
+    for number, raw in enumerate(lines[lineno:], start=lineno + 1):
+        fields = raw.split(b" ")
+        if number > terminated or len(fields) != 2 or not all(f.isdigit() for f in fields):
+            message = f"malformed entry: {raw.decode('utf-8', 'replace')!r}"
+            raise ParseError(message, path=path, line=number)
+        shown = ", ".join(map(decimal, fields))
+        if max(map(len, fields)) > 18:
+            raise ParseError(f"entry ({shown}) outside {n_docs}x{n_terms}", path=path, line=number)
+        row, column = (int(f) for f in fields)
+        if not (1 <= row <= n_docs and 1 <= column <= n_terms):
+            raise ParseError(f"entry ({shown}) outside {n_docs}x{n_terms}", path=path, line=number)
+        if previous == (row, column):
+            raise ParseError(f"duplicate entry ({shown})", path=path, line=number)
+        if previous is not None and previous > (row, column):
+            raise ParseError(f"entry ({shown}) not after ({previous[0]}, {previous[1]})", path=path, line=number)
+        previous = (row, column)
+        rows[row - 1].append(column - 1)
+    count = sum(map(len, rows))
+    if count != nnz:
+        raise ParseError(f"size line declares {nnz} entries, file has {count}", path=path)
+    return tuple(map(tuple, rows))
 
 
 def reference_exemplars(matrix: DocTermMatrix, table, limit: int) -> dict[int, tuple[str, ...]]:
@@ -701,3 +715,17 @@ def reference_write_loadings_csv(rotated: np.ndarray, terms, table, path) -> Non
             for i, term in enumerate(terms):
                 flag = "true" if (j + 1, term) in retained else "false"
                 writer.writerow([j + 1, term, float(rotated[i, j]), flag])
+
+
+def traced_peak(fn, *args) -> int:
+    """The most memory, in bytes, that Python and NumPy allocated during
+    ``fn(*args)`` beyond what they held before it. tracemalloc sees
+    NumPy's array buffers; OpenBLAS and LAPACK allocate their own
+    workspace, which it does not see."""
+    fn(*args)  # a first call may import modules, whose memory is not counted
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import shutil
 import sys
-import tracemalloc
 import types
 import warnings
 import weakref
@@ -24,6 +23,7 @@ from helpers import (
     reference_phi,
     reference_varimax_rotate,
     textbook_phi,
+    traced_peak,
 )
 from lexifactor import (
     CorrelationMatrix,
@@ -466,20 +466,6 @@ class TestInitialCommunalities:
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.inv(C)
         assert _initial_communalities(C).tolist() == [1.0, 1.0, 0.5]
-
-
-def traced_peak(fn, *args) -> int:
-    """The most memory, in bytes, that Python and NumPy allocated during
-    ``fn(*args)`` beyond what they held before it. tracemalloc sees
-    NumPy's array buffers; OpenBLAS and LAPACK allocate their own
-    workspace, which it does not see."""
-    fn(*args)  # a first call may import modules, whose memory is not counted
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def read_only(C: np.ndarray) -> np.ndarray:

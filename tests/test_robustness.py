@@ -10,6 +10,10 @@
 - A path option that a command reads and that names nothing, or a
   directory where a file belongs or a file where a directory does, ends
   the command in exit 1 and one line before it writes anything.
+- A stopword or label file that is not UTF-8, not JSON or not labels
+  ends the command in exit 1 or 2 and one line before it writes
+  anything. Labels of a factor the run does not keep are the exception:
+  they are refused when the report is built.
 
 Tier-1 runs a fixed sample of kill points. ``pytest --kill-sweep`` runs
 every one, each command over a finished run.
@@ -179,6 +183,54 @@ def test_bad_path_option_ends_in_one_line_and_changes_nothing(
             code = main(args)
         assert code == 1 and err.getvalue().count("\n") == 1, err.getvalue()
         assert (artifact_bytes(out) if out.exists() else None) == before
+
+
+# Bad content for the files that --stopwords and --labels name, and the
+# exit code each ends in: 1 for labels of the wrong shape, 2 for a file
+# that is not JSON or not UTF-8.
+BAD_INPUT_FILES = (
+    ("--labels", b'{"x": "a"}', 1),
+    ("--labels", b"[1, 2]", 1),
+    ("--labels", b"{", 2),
+    ("--labels", b'{"1": " "}', 1),
+    ("--stopwords", b"the\n\xff\n", 2),
+)
+
+
+@given(command=st.sampled_from(("pipeline", "dict", "report")), finished=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_bad_input_file_ends_in_one_line_and_changes_nothing(
+    corpus, lexicon_dir, finished_run, command, finished, data
+):
+    option, content, expected = data.draw(
+        st.sampled_from([row for row in BAD_INPUT_FILES if row[0] in PATH_OPTIONS[command]])
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        bad = scratch / "bad"
+        bad.write_bytes(content)
+        out = shutil.copytree(finished_run, scratch / "out") if finished else scratch / "out"
+        before = artifact_bytes(out) if finished else None
+
+        args = [command, "--output-dir", str(out), "--input", str(corpus), "--lexicon-dir", str(lexicon_dir),
+                "--factors", "fixed:2", option, str(bad)]
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(args)
+        assert code == expected and err.getvalue().count("\n") == 1, err.getvalue()
+        assert (artifact_bytes(out) if out.exists() else None) == before
+
+
+def test_labels_of_a_factor_not_kept_are_refused_after_the_other_stages(corpus, lexicon_dir, tmp_path, capsys):
+    """Which factors a run keeps is known only when its report is built,
+    so this one label check comes after the other four stages write."""
+    labels = tmp_path / "labels.json"
+    labels.write_text('{"99": "a"}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_pipeline(corpus, lexicon_dir, out, extra=("--labels", str(labels))) == 1
+    assert capsys.readouterr().err == "error: labels reference unknown factors: [99]\n"
+    assert not (out / "report.md").exists() and not (out / "report.json").exists()
+    assert set(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]) == set(STAGES[:-1])
 
 
 # Kills the command in argv[3:] when os.replace is called for the
